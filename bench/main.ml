@@ -1,171 +1,49 @@
-(* Benchmark harness: one experiment per paper table/figure, the fleet-scale
-   load experiment, plus bechamel micro-benchmarks of the building blocks.
+(* Benchmark harness: runs the experiment table ({!Experiments.Registry})
+   plus the bench-only bechamel micro-benchmarks of the building blocks.
 
-   Usage: main.exe [--list] [--json FILE]
-            [fig4|fig5|fig6|fig7|fig9|fig10|fig11|verify|cache|faults|fleet|monitor|batch|audit|crypto|ablations|micro|all]
+   Usage: main.exe [--list] [--json FILE] [EXPERIMENT...|all]
    With no experiment, everything runs.  Unknown names abort with a listing;
-   --list prints the known names one per line and exits 0.
+   --list prints one "name: description" line per experiment and exits 0.
 
-   JSON-capable experiments (fleet, fig9, batch, audit, crypto) collect
-   machine-readable results; they are written to FILE (or
-   $CLOUDMONATT_BENCH_JSON) as one object keyed by experiment name, plus a
-   "host" object pairing each run with its real wall-clock time and GC
-   counters.  `fleet` alone defaults to writing BENCH_fleet.json, `batch`
-   to BENCH_batch.json and `audit` to BENCH_audit.json, the
-   perf-trajectory artifacts. *)
+   Each experiment that returns JSON writes it to BENCH_<name>.json, a
+   byte-stable trajectory artifact.  With --json FILE (or
+   $CLOUDMONATT_BENCH_JSON) every result goes instead into FILE, as one
+   object keyed by experiment name plus a "host" object pairing each run
+   with its real wall-clock time and GC counters.  The exit status is 1
+   when any experiment's gate fails. *)
+
+module Registry = Experiments.Registry
+module Json = Experiments.Json
 
 let seed = 2015
-
-(* JSON results collected by the experiments that emit them. *)
-let json_results : (string * Experiments.Json.t) list ref = ref []
-let collect name json = json_results := (name, json) :: !json_results
 
 (* Host-side observability: real elapsed time and GC pressure of each
    experiment, so the simulated-latency trajectory in the artifacts is
    paired with a real-CPU trajectory.  Kept in a separate top-level "host"
    object — the experiment results themselves stay purely simulated (and
    byte-stable across hosts). *)
-let host_stats : (string * Experiments.Json.t) list ref = ref []
-
-let observed name f =
+let observed (e : Registry.entry) =
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   let gc0 = Gc.quick_stat () in
-  f ();
+  let outcome = e.run ~seed in
   let wall = Unix.gettimeofday () -. wall0 in
   let cpu = Sys.time () -. cpu0 in
   let gc1 = Gc.quick_stat () in
-  host_stats :=
-    ( name,
-      Experiments.Json.Obj
-        [
-          ("wall_s", Experiments.Json.Float wall);
-          ("cpu_s", Experiments.Json.Float cpu);
-          ( "gc",
-            Experiments.Json.Obj
-              [
-                ( "minor_collections",
-                  Experiments.Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections)
-                );
-                ( "major_collections",
-                  Experiments.Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections)
-                );
-                ( "promoted_words",
-                  Experiments.Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words) );
-              ] );
-        ] )
-    :: !host_stats
-
-let run_fig4 () = Experiments.Fig4.print (Experiments.Fig4.run ~seed ())
-let run_fig5 () = Experiments.Fig5.print (Experiments.Fig5.run ~seed ())
-let run_fig6 () = Experiments.Fig6.print (Experiments.Fig6.run ~seed ())
-let run_fig7 () = Experiments.Fig7.print (Experiments.Fig7.run ~seed ())
-
-let run_fig9 () =
-  let rows = Experiments.Fig9.run ~seed () in
-  Experiments.Fig9.print rows;
-  collect "fig9" (Experiments.Fig9.to_json ~seed rows)
-
-let run_fig10 () = Experiments.Fig10.print (Experiments.Fig10.run ~seed ())
-let run_fig11 () = Experiments.Fig11.print (Experiments.Fig11.run ~seed ())
-let run_verify () = Experiments.Protocol_check.print (Experiments.Protocol_check.run ())
-let run_cache () = Experiments.Cache_exp.print (Experiments.Cache_exp.run ~seed ())
-let run_faults () = Experiments.Faults.print (Experiments.Faults.run ~seed ())
-
-(* A domains=N fleet run that diverges from domains=1 is a determinism
-   regression in the epoch-barrier protocol; it gates like the fuzz
-   campaign. *)
-let fleet_failed = ref false
-
-let run_fleet () =
-  let result = Experiments.Fleet_exp.run ~seed () in
-  Experiments.Fleet_exp.print result;
-  collect "fleet" (Experiments.Fleet_exp.to_json result);
-  if not (Experiments.Fleet_exp.identical_across_domains result) then begin
-    fleet_failed := true;
-    Printf.eprintf
-      "fleet: sharded results diverged across domain counts (see BENCH_fleet.json)\n%!"
-  end
-
-(* The monitoring SLOs gate too: an undetected (or slowly detected) rack
-   compromise, a divergent domain curve or an empty fresh-fraction series
-   all flip the exit status. *)
-let monitor_failed = ref false
-
-let run_monitor () =
-  let result = Experiments.Monitor_exp.run ~seed () in
-  Experiments.Monitor_exp.print result;
-  collect "monitor" (Experiments.Monitor_exp.to_json result);
-  if not (Experiments.Monitor_exp.clean result) then begin
-    monitor_failed := true;
-    Printf.eprintf "monitor: SLO gate violated (see BENCH_monitor.json)\n%!"
-  end
-
-let run_batch () =
-  let result = Experiments.Batch_exp.run ~seed () in
-  Experiments.Batch_exp.print result;
-  collect "batch" (Experiments.Batch_exp.to_json result)
-
-let run_audit () =
-  let result = Experiments.Audit_exp.run ~seed () in
-  Experiments.Audit_exp.print result;
-  collect "audit" (Experiments.Audit_exp.to_json result)
-
-let run_crypto () =
-  let result = Experiments.Crypto_bench.run ~seed () in
-  Experiments.Crypto_bench.print result;
-  collect "crypto" (Experiments.Crypto_bench.to_json ~seed result)
-
-(* The fuzz campaign gates CI: violations flip the process exit status and
-   leave a replayable repro file for the artifact upload. *)
-let fuzz_failed = ref false
-
-let run_fuzz () =
-  let result = Experiments.Fuzz_exp.run ~seed () in
-  Experiments.Fuzz_exp.print result;
-  collect "fuzz" (Experiments.Fuzz_exp.to_json result);
-  if not (Experiments.Fuzz_exp.clean result) then begin
-    fuzz_failed := true;
-    let oc = open_out "fuzz-repros.txt" in
-    List.iter
-      (fun line -> output_string oc (line ^ "\n"))
-      (Experiments.Fuzz_exp.repro_lines result);
-    close_out oc;
-    Printf.eprintf "fuzz: oracle violations found; repros written to fuzz-repros.txt\n%!"
-  end
-
-(* The backend lifecycle gates also flip the exit status: a stale-state
-   vTPM quote that verifies Healthy is a security regression, not noise. *)
-let backends_failed = ref false
-
-let run_backends () =
-  let result = Experiments.Backends_exp.run ~seed () in
-  Experiments.Backends_exp.print result;
-  collect "backends" (Experiments.Backends_exp.to_json result);
-  if not (Experiments.Backends_exp.clean result) then begin
-    backends_failed := true;
-    Printf.eprintf "backends: lifecycle gate violated (see BENCH_backends.json)\n%!"
-  end
-
-(* The protocol catalogue gates too: a weakened term with no synthesised
-   attack, a default term failing a check, or an interpreter run outside
-   its static cost envelope all flip the exit status. *)
-let protocols_failed = ref false
-
-let run_protocols () =
-  let result = Experiments.Protocols_exp.run ~seed () in
-  Experiments.Protocols_exp.print result;
-  collect "protocols" (Experiments.Protocols_exp.to_json result);
-  if not (Experiments.Protocols_exp.clean result) then begin
-    protocols_failed := true;
-    Printf.eprintf "protocols: catalogue gate violated (see BENCH_protocols.json)\n%!"
-  end
-
-let run_ablations () =
-  Experiments.Ablations.print_detector (Experiments.Ablations.detector_sweep ~seed ());
-  Experiments.Ablations.print_benign (Experiments.Ablations.benign_false_positives ());
-  Experiments.Ablations.print_ticks (Experiments.Ablations.tick_sweep ());
-  Experiments.Ablations.print_latency (Experiments.Ablations.detection_latency ~seed ~trials:4 ())
+  Printf.printf "[%s done in %.1fs host time]\n%!" e.name cpu;
+  ( outcome,
+    Json.Obj
+      [
+        ("wall_s", Json.Float wall);
+        ("cpu_s", Json.Float cpu);
+        ( "gc",
+          Json.Obj
+            [
+              ("minor_collections", Json.Int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
+              ("major_collections", Json.Int (gc1.Gc.major_collections - gc0.Gc.major_collections));
+              ("promoted_words", Json.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
+            ] );
+      ] )
 
 (* --- Micro-benchmarks (bechamel): the primitives under the protocol. --- *)
 
@@ -218,38 +96,23 @@ let run_micro () =
         results)
     tests
 
-(* (name, one-line description, runner).  The descriptions feed --list, so
-   scripts can show an inventory without grepping the sources. *)
-let experiments =
-  [
-    ("fig4", "cross-VM covert information leakage (paper Fig. 4)", run_fig4);
-    ("fig5", "covert-channel vulnerability measurements (Fig. 5)", run_fig5);
-    ("fig6", "performance impact of CPU-availability attacks (Fig. 6)", run_fig6);
-    ("fig7", "CPU-availability vulnerability measurements (Fig. 7)", run_fig7);
-    ("fig9", "VM launching performance (Fig. 9)", run_fig9);
-    ("fig10", "performance effect of runtime attestation (Fig. 10)", run_fig10);
-    ("fig11", "attestation and response reaction times (Fig. 11)", run_fig11);
-    ("verify", "symbolic verification of the fixed protocol (section 7.2.2)", run_verify);
-    ("cache", "prime-probe cache covert channel and its detection", run_cache);
-    ("faults", "attestation availability on a lossy network", run_faults);
-    ("fleet", "fleet-scale throughput sweep, sharded by AS cluster", run_fleet);
-    ("monitor", "continuous re-attestation: storms, freshness SLOs, time-to-detect", run_monitor);
-    ("batch", "Merkle-batched attestation frontier", run_batch);
-    ("audit", "verdict-transparency log overhead and fork detection", run_audit);
-    ("crypto", "RSA hot-path micro-benchmark (host CPU time)", run_crypto);
-    ("fuzz", "oracle-checked fuzz campaign over generated histories", run_fuzz);
-    ("backends", "trust-backend comparison and lifecycle gates", run_backends);
-    ("protocols", "attestation-protocol catalogue: Dolev-Yao + cost envelopes", run_protocols);
-    ("ablations", "design-choice ablation studies", run_ablations);
-    ("micro", "bechamel micro-benchmarks of the primitives", run_micro);
-  ]
-
-let valid_names = "all" :: List.map (fun (n, _, _) -> n) experiments
+let entries =
+  Registry.entries
+  @ [
+      {
+        Registry.name = "micro";
+        doc = "bechamel micro-benchmarks of the primitives";
+        run =
+          (fun ~seed:_ ->
+            run_micro ();
+            { Registry.json = None; ok = true });
+      };
+    ]
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [--list] [--json FILE] [EXPERIMENT...]\nvalid experiments: %s\n"
-    (String.concat ", " valid_names)
+    (String.concat ", " ("all" :: List.map (fun (e : Registry.entry) -> e.name) entries))
 
 let parse_args argv =
   let rec go names json = function
@@ -259,9 +122,7 @@ let parse_args argv =
            "name: description" line per experiment (plus the bare "all"
            pseudo-name), success exit. *)
         print_endline "all: every experiment below";
-        List.iter
-          (fun (name, description, _) -> Printf.printf "%s: %s\n" name description)
-          experiments;
+        List.iter (fun (e : Registry.entry) -> Printf.printf "%s: %s\n" e.name e.doc) entries;
         exit 0
     | "--json" :: path :: rest -> go names (Some path) rest
     | [ "--json" ] ->
@@ -271,21 +132,26 @@ let parse_args argv =
     | name :: rest -> go (name :: names) json rest
   in
   let names, json = go [] None argv in
-  let names = if names = [] then [ "all" ] else names in
   (* An unknown or misspelled experiment must fail loudly, not silently
      run nothing and exit 0. *)
-  let unknown = List.filter (fun n -> not (List.mem n valid_names)) names in
-  if unknown <> [] then begin
-    Printf.eprintf "error: unknown experiment%s: %s\n"
-      (if List.length unknown > 1 then "s" else "")
-      (String.concat ", " unknown);
-    usage ();
-    exit 2
-  end;
-  (names, json)
+  match Registry.select ~entries (if names = [] then [ "all" ] else names) with
+  | Ok selected -> (selected, json)
+  | Error unknown ->
+      Printf.eprintf "error: unknown experiment%s: %s\n"
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat ", " unknown);
+      usage ();
+      exit 2
+
+let write path doc =
+  match Json.write_file_result path doc with
+  | Ok () -> Printf.printf "wrote %s\n%!" path
+  | Error msg ->
+      Printf.eprintf "error: cannot write %s: %s\n" path msg;
+      exit 2
 
 let () =
-  let which, json_arg =
+  let selected, json_arg =
     parse_args (Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)))
   in
   (* Fail before running anything if the --json destination can never be
@@ -298,94 +164,27 @@ let () =
         exit 2
       end
   | None -> ());
-  let run_all = List.mem "all" which in
   print_endline "CloudMonatt evaluation harness (ISCA'15 figures)";
-  List.iter
-    (fun (name, _, f) ->
-      if run_all || List.mem name which then begin
-        let t0 = Sys.time () in
-        observed name f;
-        Printf.printf "[%s done in %.1fs host time]\n%!" name (Sys.time () -. t0)
-      end)
-    experiments;
-  let json_paths =
-    match (json_arg, Sys.getenv_opt "CLOUDMONATT_BENCH_JSON") with
-    | Some p, _ -> [ p ]
-    | None, Some p -> [ p ]
-    | None, None ->
-        (* `fleet` and `batch` write their trajectory artifacts even
-           without --json. *)
-        List.filter_map
-          (fun (name, path) ->
-            if List.mem_assoc name !json_results then Some path else None)
-          [
-            ("fleet", "BENCH_fleet.json");
-            ("monitor", "BENCH_monitor.json");
-            ("batch", "BENCH_batch.json");
-            ("audit", "BENCH_audit.json");
-            ("crypto", "BENCH_crypto.json");
-            ("fuzz", "BENCH_fuzz.json");
-            ("backends", "BENCH_backends.json");
-            ("protocols", "BENCH_protocols.json");
-          ]
+  let ran = List.map (fun (e : Registry.entry) -> (e.name, observed e)) selected in
+  let results =
+    List.filter_map (fun (name, (o, _)) -> Option.map (fun j -> (name, j)) o.Registry.json) ran
   in
-  match json_paths with
-  | [] -> ()
-  | paths ->
-      (* The committed trajectory artifacts must stay byte-identical across
-         runs, so the (nondeterministic) host-observability block only goes
-         to explicitly requested destinations. *)
-      let explicit_destination =
-        json_arg <> None || Sys.getenv_opt "CLOUDMONATT_BENCH_JSON" <> None
-      in
-      if !json_results = [] then
+  let destination =
+    match json_arg with Some _ -> json_arg | None -> Sys.getenv_opt "CLOUDMONATT_BENCH_JSON"
+  in
+  (match destination with
+  | Some path ->
+      if results = [] then
         Printf.eprintf "warning: --json given but no selected experiment emits JSON\n"
       else
-        List.iter
-          (fun path ->
-            let keep =
-              (* Per-artifact default files carry only their own experiment;
-                 an explicit --json FILE carries everything that ran. *)
-              match (json_arg, path) with
-              | None, "BENCH_fleet.json" ->
-                  List.filter (fun (n, _) -> n = "fleet") !json_results
-              | None, "BENCH_monitor.json" ->
-                  List.filter (fun (n, _) -> n = "monitor") !json_results
-              | None, "BENCH_batch.json" ->
-                  List.filter (fun (n, _) -> n = "batch") !json_results
-              | None, "BENCH_audit.json" ->
-                  List.filter (fun (n, _) -> n = "audit") !json_results
-              | None, "BENCH_crypto.json" ->
-                  List.filter (fun (n, _) -> n = "crypto") !json_results
-              | None, "BENCH_fuzz.json" ->
-                  List.filter (fun (n, _) -> n = "fuzz") !json_results
-              | None, "BENCH_backends.json" ->
-                  List.filter (fun (n, _) -> n = "backends") !json_results
-              | None, "BENCH_protocols.json" ->
-                  List.filter (fun (n, _) -> n = "protocols") !json_results
-              | _ -> !json_results
-            in
-            let doc =
-              Experiments.Json.Obj
-                (List.rev keep
-                @
-                if explicit_destination then
-                  [ ("host", Experiments.Json.Obj (List.rev !host_stats)) ]
-                else [])
-            in
-            match Experiments.Json.write_file_result path doc with
-            | Ok () -> Printf.printf "wrote %s\n%!" path
-            | Error msg ->
-                Printf.eprintf "error: cannot write %s: %s\n" path msg;
-                exit 2)
-          paths
-
-(* Fail the process (after the artifacts are written, so the repro file
-   and JSON survive) when the fuzz campaign surfaced violations, the
-   backend lifecycle gates tripped, the protocol catalogue deviated from
-   its planted expectations, or the sharded fleet runs diverged. *)
-let () =
-  if
-    !fuzz_failed || !backends_failed || !fleet_failed || !protocols_failed
-    || !monitor_failed
-  then exit 1
+        write path
+          (Json.Obj (results @ [ ("host", Json.Obj (List.map (fun (n, (_, h)) -> (n, h)) ran)) ]))
+  | None ->
+      (* The committed trajectory artifacts must stay byte-identical across
+         runs, so each carries only its own result and no host block. *)
+      List.iter
+        (fun (name, j) -> write ("BENCH_" ^ name ^ ".json") (Json.Obj [ (name, j) ]))
+        results);
+  (* Fail the process after the artifacts are written, so the JSON and any
+     repro file survive for inspection. *)
+  if List.exists (fun (_, (o, _)) -> not o.Registry.ok) ran then exit 1

@@ -1,7 +1,7 @@
 (* CloudMonatt command-line interface.
 
    Subcommands:
-     experiment  -- regenerate the paper's figures (fig4..fig11, verify, all)
+     experiment  -- run entries of the experiment table (fig4..fig11, verify, ..., all)
      verify      -- check the attestation protocol symbolically
      protocol    -- type-check, estimate, run and verify one protocol term
      launch      -- spin up a simulated cloud, launch a VM, attest properties
@@ -15,73 +15,43 @@ let seed_arg =
 
 (* --- experiment --------------------------------------------------------- *)
 
-let all_experiments =
-  [ "fig4"; "fig5"; "fig6"; "fig7"; "fig9"; "fig10"; "fig11"; "verify"; "cache"; "faults"; "fleet"; "monitor"; "batch"; "audit"; "backends"; "protocols"; "ablations" ]
+(* Runs every selected entry (a failing gate must not skip the rest) and
+   exits 1 if any gate failed, like bench/main.exe. *)
+let run_entries ~seed entries =
+  let outcomes = List.map (fun (e : Experiments.Registry.entry) -> e.run ~seed) entries in
+  if List.for_all (fun (o : Experiments.Registry.outcome) -> o.ok) outcomes then 0 else 1
 
-let experiment_names = all_experiments @ [ "all" ]
-
-let run_experiment seed name =
-  match name with
-  | "fig4" -> Experiments.Fig4.print (Experiments.Fig4.run ~seed ())
-  | "fig5" -> Experiments.Fig5.print (Experiments.Fig5.run ~seed ())
-  | "fig6" -> Experiments.Fig6.print (Experiments.Fig6.run ~seed ())
-  | "fig7" -> Experiments.Fig7.print (Experiments.Fig7.run ~seed ())
-  | "fig9" -> Experiments.Fig9.print (Experiments.Fig9.run ~seed ())
-  | "fig10" -> Experiments.Fig10.print (Experiments.Fig10.run ~seed ())
-  | "fig11" -> Experiments.Fig11.print (Experiments.Fig11.run ~seed ())
-  | "verify" -> Experiments.Protocol_check.print (Experiments.Protocol_check.run ())
-  | "cache" -> Experiments.Cache_exp.print (Experiments.Cache_exp.run ~seed ())
-  | "faults" -> Experiments.Faults.print (Experiments.Faults.run ~seed ())
-  | "fleet" -> Experiments.Fleet_exp.print (Experiments.Fleet_exp.run ~seed ())
-  | "monitor" -> Experiments.Monitor_exp.print (Experiments.Monitor_exp.run ~seed ())
-  | "batch" -> Experiments.Batch_exp.print (Experiments.Batch_exp.run ~seed ())
-  | "audit" -> Experiments.Audit_exp.print (Experiments.Audit_exp.run ~seed ())
-  | "backends" -> Experiments.Backends_exp.print (Experiments.Backends_exp.run ~seed ())
-  | "protocols" -> Experiments.Protocols_exp.print (Experiments.Protocols_exp.run ~seed ())
-  | "ablations" ->
-      Experiments.Ablations.print_detector (Experiments.Ablations.detector_sweep ~seed ());
-      Experiments.Ablations.print_benign (Experiments.Ablations.benign_false_positives ());
-      Experiments.Ablations.print_ticks (Experiments.Ablations.tick_sweep ());
-      Experiments.Ablations.print_latency (Experiments.Ablations.detection_latency ~seed ())
-  | other ->
-      (* unreachable: names are validated before running *)
-      Printf.eprintf "unknown experiment %s (try: %s)\n" other (String.concat ", " experiment_names)
+let experiment_names =
+  List.map (fun (e : Experiments.Registry.entry) -> e.name) Experiments.Registry.entries
+  @ [ "all" ]
 
 let experiment_cmd =
   let names =
-    let doc = "Experiments to run (fig4..fig11, verify, cache, faults, fleet, monitor, batch, audit, backends, protocols, ablations, all)." in
+    let doc = "Experiments to run: " ^ String.concat ", " experiment_names ^ "." in
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let run seed names =
-    let unknown = List.filter (fun n -> not (List.mem n experiment_names)) names in
-    if unknown <> [] then begin
-      Printf.eprintf "unknown experiment%s: %s (valid: %s)\n"
-        (if List.length unknown > 1 then "s" else "")
-        (String.concat ", " unknown)
-        (String.concat ", " experiment_names);
-      Stdlib.exit 2
-    end;
-    let names = if List.mem "all" names then all_experiments else names in
-    List.iter (run_experiment seed) names
+    match Experiments.Registry.select names with
+    | Ok entries -> run_entries ~seed entries
+    | Error unknown ->
+        Printf.eprintf "unknown experiment%s: %s (valid: %s)\n"
+          (if List.length unknown > 1 then "s" else "")
+          (String.concat ", " unknown)
+          (String.concat ", " experiment_names);
+        2
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's evaluation figures")
-    Term.(const run $ seed_arg $ names)
+    Term.(const (fun seed names -> Stdlib.exit (run seed names)) $ seed_arg $ names)
 
 (* --- verify -------------------------------------------------------------- *)
 
 let verify_cmd =
   let run () =
-    let results = Experiments.Protocol_check.run () in
-    Experiments.Protocol_check.print results;
-    if Experiments.Protocol_check.all_as_expected results then begin
-      print_endline "\nAll protocol variants behave as expected.";
-      0
-    end
-    else begin
-      print_endline "\nUNEXPECTED verification outcome!";
-      1
-    end
+    run_entries ~seed:2015
+      (List.filter
+         (fun (e : Experiments.Registry.entry) -> e.name = "verify")
+         Experiments.Registry.entries)
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Symbolically verify the attestation protocol (section 7.2.2)")

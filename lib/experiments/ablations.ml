@@ -158,7 +158,9 @@ let one_trial ~seed ~schedule ~infect_after =
       | r :: _ -> Some (Sim.Time.to_ms (r.Controller.at - infected_at))
       | [] -> None)
 
-let detection_latency ?(seed = 42) ?(trials = 5) () =
+let detection_trials = 4
+
+let detection_latency ?(seed = 42) () =
   let schedules =
     [
       ("every 60s", Schedule.fixed (Sim.Time.minutes 1));
@@ -174,7 +176,7 @@ let detection_latency ?(seed = 42) ?(trials = 5) () =
           (fun i ->
             one_trial ~seed:(seed + i) ~schedule
               ~infect_after:(Sim.Time.ms (1700 * (i + 1))))
-          (List.init trials Fun.id)
+          (List.init detection_trials Fun.id)
       in
       let mean =
         match latencies with

@@ -34,10 +34,10 @@ val tick_sweep : ?seed:int -> unit -> tick_row list
 (** Detection-latency vs attestation schedule. *)
 type latency_row = {
   schedule : string;
-  mean_detect_ms : float;  (** infection -> response, averaged over trials *)
+  mean_detect_ms : float;  (** infection -> response, averaged over 4 trials *)
 }
 
-val detection_latency : ?seed:int -> ?trials:int -> unit -> latency_row list
+val detection_latency : ?seed:int -> unit -> latency_row list
 
 val print_detector : detector_row list -> unit
 val print_benign : benign_row list -> unit

@@ -59,11 +59,6 @@ let smoke_sweep ~seed =
       };
   }
 
-let scale_of_env () =
-  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
-  | Some "smoke" -> `Smoke
-  | _ -> `Default
-
 (* --- Part 2: split-view detection latency ------------------------------- *)
 
 (* One log identity forks into two faces at [fork_at] (deliberately off the
@@ -124,8 +119,7 @@ let detection_run ~seed ~interval =
     evidence_kind = (match !detected with Some (_, k) -> k | None -> "none");
   }
 
-let run ?(seed = 2015) ?scale () =
-  let scale = match scale with Some s -> s | None -> scale_of_env () in
+let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let sweep, scale_name =
     match scale with
     | `Default -> (default_sweep ~seed, "default")
@@ -171,6 +165,11 @@ let run ?(seed = 2015) ?scale () =
     List.map (fun interval -> detection_run ~seed ~interval) sweep.intervals
   in
   { seed; scale = scale_name; rows; detections }
+
+let within_interval { det_interval; forked_at; detected_at; _ } =
+  match detected_at with Some t -> t - forked_at <= det_interval | None -> false
+
+let clean { detections; _ } = detections <> [] && List.for_all within_interval detections
 
 let print { seed; scale; rows; detections } =
   Common.section
@@ -258,7 +257,7 @@ let row_to_json { interval; rate; as_count; base; audited } =
           ] );
     ]
 
-let detection_to_json { det_interval; forked_at; detected_at; evidence_kind } =
+let detection_to_json ({ det_interval; forked_at; detected_at; evidence_kind } as d) =
   Json.Obj
     [
       ("checkpoint_ms", Json.Float (Sim.Time.to_ms det_interval));
@@ -270,10 +269,7 @@ let detection_to_json { det_interval; forked_at; detected_at; evidence_kind } =
         match detected_at with
         | Some t -> Json.Float (Sim.Time.to_ms (t - forked_at))
         | None -> Json.Null );
-      ( "within_interval",
-        Json.Bool
-          (match detected_at with Some t -> t - forked_at <= det_interval | None -> false)
-      );
+      ("within_interval", Json.Bool (within_interval d));
       ("evidence", Json.Str evidence_kind);
     ]
 

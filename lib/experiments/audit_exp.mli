@@ -27,5 +27,9 @@ val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
 (** [scale] defaults to [`Smoke] when [CLOUDMONATT_FLEET_SCALE=smoke],
     [`Default] otherwise. *)
 
+val clean : result -> bool
+(** The gate: at least one split-view scenario ran, and every fork was
+    convicted within one checkpoint interval. *)
+
 val print : result -> unit
 val to_json : result -> Json.t

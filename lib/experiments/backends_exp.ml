@@ -165,14 +165,24 @@ let run ?(seed = 2015) () =
   let cvm = run_cvm ~seed:(seed + 1) ~attests:2 in
   { seed; fleet; campaign; cvm }
 
-(* The acceptance gate: restored-but-not-rebound vTPM state must never
-   attest Healthy, rebinding must always recover, and CVM reports must
-   verify against the vendor root. *)
-let clean { campaign; cvm; _ } =
-  campaign.healthy_after_stale = 0
+(* The acceptance gate: every backend in the fleet mix served traffic,
+   restored-but-not-rebound vTPM state never attested Healthy, rebinding
+   always recovered, and CVM reports verified against the vendor root. *)
+let clean { fleet; campaign; cvm; _ } =
+  Array.for_all
+    (fun kind ->
+      match
+        List.assoc_opt (Tpm.Backend.kind_to_string kind) fleet.Fleet.Driver.served_by_backend
+      with
+      | Some n -> n > 0
+      | None -> false)
+    fleet.Fleet.Driver.config.Fleet.Driver.backends
+  && campaign.healthy_after_stale = 0
+  && campaign.stale_attests > 0
   && campaign.compromised_after_stale = campaign.stale_attests
+  && campaign.rebinds > 0
   && campaign.healthy_after_rebind = campaign.rebinds
-  && cvm.healthy = cvm.attests && cvm.root_present
+  && cvm.attests > 0 && cvm.healthy = cvm.attests && cvm.root_present
 
 let print ({ seed; fleet; campaign; cvm } as r) =
   Common.section (Printf.sprintf "Trust backends: classic / e-vTPM / CVM (seed %d)" seed);

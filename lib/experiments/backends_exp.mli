@@ -6,9 +6,9 @@
     all come back Compromised until the Privacy-CA rebind, and a CVM cloud
     whose hardware reports verify against the vendor platform root alone.
 
-    Exit-status material: {!clean} is false whenever a stale-state quote
-    verified Healthy, a rebind failed to recover, or a CVM report did not
-    verify — CI fails the bench step on it. *)
+    Exit-status material: {!clean} is false whenever a backend of the
+    fleet mix served nothing, a stale-state quote verified Healthy, a
+    rebind failed to recover, or a CVM report did not verify. *)
 
 type campaign = {
   cycles : int;

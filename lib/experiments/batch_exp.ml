@@ -47,11 +47,6 @@ let smoke_sweep ~seed =
       };
   }
 
-let scale_of_env () =
-  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
-  | Some "smoke" -> `Smoke
-  | _ -> `Default
-
 (* A full batch must be able to form in the queue, so depth grows with the
    batch bound; batch 1 keeps the baseline depth exactly. *)
 let config_for sweep ~batch ~rate ~as_count =
@@ -64,8 +59,7 @@ let config_for sweep ~batch ~rate ~as_count =
     batch_window = (if batch <= 1 then 0 else Sim.Time.ms 100);
   }
 
-let run ?(seed = 2015) ?scale () =
-  let scale = match scale with Some s -> s | None -> scale_of_env () in
+let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let sweep, scale_name =
     match scale with
     | `Default -> (default_sweep ~seed, "default")

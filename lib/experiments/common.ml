@@ -17,5 +17,10 @@ let bar fraction =
   let n = if n < 0 then 0 else if n > 60 then 60 else n in
   String.make n '#'
 
+let scale_of_env () =
+  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
+  | Some "smoke" -> `Smoke
+  | _ -> `Default
+
 let section title =
   Printf.printf "\n== %s ==\n%!" title

@@ -17,5 +17,10 @@ val solo_victim_time : Workloads.Spec.t -> Sim.Time.t
 val bar : float -> string
 (** Tiny ASCII bar for table printing (~1 char per 10%). *)
 
+val scale_of_env : unit -> [ `Default | `Smoke ]
+(** [`Smoke] when the environment variable [CLOUDMONATT_FLEET_SCALE] is
+    ["smoke"] (the CI setting), else [`Default]: the scale every sweep
+    experiment runs at when the caller does not pick one. *)
+
 val section : string -> unit
 (** Print an experiment header. *)

@@ -3,9 +3,9 @@
    throughput, and the verification memo's hit/miss cost.  Unlike the
    simulated experiments this measures real CPU time — it is the artifact
    (BENCH_crypto.json) that backs the calibrated {!Core.Costs} constants,
-   and the CI smoke step asserts its headline ratio (CRT must beat the
-   classic full-width path) so an accidental regression to the slow path
-   fails loudly. *)
+   and its gate asserts the headline ratio (CRT must beat the classic
+   full-width path) so an accidental regression to the slow path fails
+   loudly. *)
 
 type sign_row = {
   bits : int;
@@ -184,6 +184,10 @@ let run ~seed () =
     rate ~bits:1024 ~crt:true ~window:true /. rate ~bits:1024 ~crt:false ~window:true
   in
   { scale; key_bits; sign; verify; memo; heap; sign_speedup; seed_speedup; crt_speedup_1024 }
+
+(* A regression to the slow path shows up here even when every
+   correctness test passes. *)
+let clean r = r.crt_speedup_1024 >= 1.2
 
 let print r =
   Common.section

@@ -89,18 +89,12 @@ let sharded_scenario ~seed = function
         },
         [ 1; 2 ] )
 
-let scale_of_env () =
-  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
-  | Some "smoke" -> `Smoke
-  | _ -> `Default
-
 let timed config =
   let t0 = Unix.gettimeofday () in
   let r = Fleet.Driver.run config in
   (r, Unix.gettimeofday () -. t0)
 
-let run ?(seed = 2015) ?scale () =
-  let scale = match scale with Some s -> s | None -> scale_of_env () in
+let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let sweep, scale_name =
     match scale with
     | `Default -> (default_sweep ~seed, "default")
@@ -171,7 +165,9 @@ let run ?(seed = 2015) ?scale () =
   in
   { seed; scale = scale_name; rows = rows @ [ hetero ] @ sharded.curve; sharded }
 
-let identical_across_domains { sharded; _ } = sharded.identical
+let clean { sharded; _ } =
+  sharded.identical
+  && match sharded.curve with first :: _ :: _ -> first.domains = 1 | _ -> false
 
 let print { seed; scale; rows; sharded } =
   Common.section

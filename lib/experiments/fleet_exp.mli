@@ -42,8 +42,9 @@ val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
     [CLOUDMONATT_FLEET_SCALE] is ["smoke"] (the CI setting), else
     [`Default]. *)
 
-val identical_across_domains : result -> bool
-(** The determinism gate the bench harness turns into an exit status. *)
+val clean : result -> bool
+(** The gate: the domain curve has at least two points, starts at one
+    domain, and its fingerprints are identical. *)
 
 val print : result -> unit
 

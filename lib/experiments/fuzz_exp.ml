@@ -15,11 +15,6 @@ type result = {
   planted : planted list;
 }
 
-let scale_of_env () =
-  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
-  | Some "smoke" -> `Smoke
-  | _ -> `Default
-
 (* Mutation testing: hunt for the planted bug with the cache oracle, then
    shrink the first catch.  The hunt replays a small pinned corpus of
    directed histories first, then falls back to the campaign's generator
@@ -69,8 +64,7 @@ let hunt ?(corpus = []) ?(oracle = "cache-consistency") ~bug ~bug_name ~seed ~ma
       in
       go 0
 
-let run ?(seed = 2015) ?scale () =
-  let scale = match scale with Some s -> s | None -> scale_of_env () in
+let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let runs_default, scale_name =
     match scale with `Default -> (1000, "default") | `Smoke -> (200, "smoke")
   in

@@ -61,11 +61,6 @@ let scenario ~seed = function
         Sim.Time.sec 2,
         [ 1; 2 ] )
 
-let scale_of_env () =
-  match Sys.getenv_opt "CLOUDMONATT_FLEET_SCALE" with
-  | Some "smoke" -> `Smoke
-  | _ -> `Default
-
 (* Lead scales with the budget (a fixed lead would turn a tight budget
    into near-continuous probing) but always covers two ticks, the floor
    {!Fleet.Monitor} documents for probes to complete in time. *)
@@ -114,8 +109,7 @@ let row_detects row =
   | Some None -> false
   | Some (Some d) -> d <= detect_bound row
 
-let run ?(seed = 2015) ?scale () =
-  let scale = match scale with Some s -> s | None -> scale_of_env () in
+let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let base, tick, budgets, storm_at, domain_counts = scenario ~seed scale in
   let scale_name = match scale with `Default -> "default" | `Smoke -> "smoke" in
   let row ~budget ~storm ~storms ~domains =
@@ -161,11 +155,19 @@ let run ?(seed = 2015) ?scale () =
   in
   { seed; scale = scale_name; rows; sharded }
 
-let identical_across_domains { sharded; _ } = sharded.identical
+(* Every scheduled probe ends in exactly one bucket, and no VM is tracked
+   twice after crossing shards. *)
+let ledger_conserved (r : Fleet.Driver.result) =
+  r.Fleet.Driver.mon_scheduled
+  = r.Fleet.Driver.mon_served + r.Fleet.Driver.mon_missed_periodic
+    + r.Fleet.Driver.mon_missed_recheck + r.Fleet.Driver.mon_shed
+  && r.Fleet.Driver.mon_entry_dups = 0
 
 let clean { rows; sharded; _ } =
   sharded.identical
-  && List.for_all row_detects (rows @ sharded.curve)
+  && List.length sharded.curve >= 2
+  && List.exists (fun row -> String.equal row.storm "rack-compromise") rows
+  && List.for_all (fun row -> row_detects row && ledger_conserved row.r) (rows @ sharded.curve)
   && List.exists (fun row -> row.r.Fleet.Driver.mon_fresh_final > 0.0) rows
 
 let print ({ seed; scale; rows; sharded } as result) =

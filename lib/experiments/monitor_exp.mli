@@ -63,12 +63,13 @@ val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
     [CLOUDMONATT_FLEET_SCALE] is ["smoke"] (the CI setting), else
     [`Default]. *)
 
-val identical_across_domains : result -> bool
-
 val clean : result -> bool
-(** The CI gate: fingerprints identical across the domain curve, every
-    rack-compromise row detected within {!detect_bound}, and at least one
-    row ends with a nonzero fleet-fresh fraction. *)
+(** The gate: fingerprints identical across a domain curve of at least two
+    points; the sweep plants a rack compromise and every such row detects
+    it within {!detect_bound}; every row conserves its probe ledger
+    ([scheduled = served + missed_periodic + missed_recheck + shed]) with
+    no duplicated entry; and at least one row ends with a nonzero
+    fleet-fresh fraction. *)
 
 val print : result -> unit
 

@@ -77,4 +77,7 @@ let print rs =
       List.iter
         (fun c -> Printf.printf "  %s\n" (Format.asprintf "%a" Verifier.Properties.pp_check c))
         r.checks)
-    rs
+    rs;
+  print_endline
+    (if all_as_expected rs then "\nAll protocol variants behave as expected."
+     else "\nUNEXPECTED verification outcome!")

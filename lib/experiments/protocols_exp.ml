@@ -188,7 +188,10 @@ let run ?(seed = 2015) () =
   { seed; symbolic; executable }
 
 let clean { symbolic; executable; _ } =
-  List.for_all (fun r -> r.as_expected) symbolic
+  let weakened = List.filter (fun r -> r.weakened) symbolic in
+  List.length weakened >= 3
+  && List.for_all (fun r -> r.attacks >= 1) weakened
+  && List.for_all (fun r -> r.as_expected) symbolic
   && List.for_all (fun r -> r.within_estimate) executable
 
 (* --- Reporting ----------------------------------------------------------- *)

@@ -71,68 +71,6 @@ module Summary = struct
   let max t = t.max
 end
 
-module Series = struct
-  type t = {
-    mutable data : float array;
-    mutable len : int;
-    mutable sorted : bool;
-    mutable sum : float;
-  }
-
-  let create () = { data = Array.make 64 0.0; len = 0; sorted = true; sum = 0.0 }
-
-  let add t x =
-    if t.len = Array.length t.data then begin
-      let bigger = Array.make (2 * t.len) 0.0 in
-      Array.blit t.data 0 bigger 0 t.len;
-      t.data <- bigger
-    end;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1;
-    t.sorted <- false;
-    t.sum <- t.sum +. x
-
-  let n t = t.len
-  let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
-
-  let ensure_sorted t =
-    if not t.sorted then begin
-      let a = Array.sub t.data 0 t.len in
-      Array.sort compare a;
-      Array.blit a 0 t.data 0 t.len;
-      t.sorted <- true
-    end
-
-  (* Nearest-rank, matching [percentile] below. *)
-  let percentile t p =
-    if t.len = 0 then nan
-    else begin
-      ensure_sorted t;
-      let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) in
-      let rank = if rank < 1 then 1 else if rank > t.len then t.len else rank in
-      t.data.(rank - 1)
-    end
-
-  let min t =
-    if t.len = 0 then nan
-    else begin
-      ensure_sorted t;
-      t.data.(0)
-    end
-
-  let max t =
-    if t.len = 0 then nan
-    else begin
-      ensure_sorted t;
-      t.data.(t.len - 1)
-    end
-
-  let clear t =
-    t.len <- 0;
-    t.sorted <- true;
-    t.sum <- 0.0
-end
-
 module Reservoir = struct
   type t = {
     cap : int;

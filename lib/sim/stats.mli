@@ -38,25 +38,6 @@ module Summary : sig
   val max : t -> float
 end
 
-(** Growable sample series with percentile queries, e.g. per-request
-    attestation latencies in the fleet load generator.  Sorting is lazy and
-    cached, so interleaved [add]/[percentile] calls stay cheap. *)
-module Series : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val n : t -> int
-  val mean : t -> float
-
-  val percentile : t -> float -> float
-  (** Nearest-rank percentile, [nan] when empty. *)
-
-  val min : t -> float
-  val max : t -> float
-  val clear : t -> unit
-end
-
 (** Bounded-memory sample reservoir with deterministic merging.  Holds at
     most [cap] retained samples (Algorithm R) while tracking count, sum,
     min and max exactly, so mean and extrema are always exact and

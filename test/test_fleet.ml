@@ -651,20 +651,6 @@ let test_batch_exp_batch1_reproduces_fleet () =
 
 (* --- Sim.Stats additions ---------------------------------------------------- *)
 
-let test_series_percentiles () =
-  let s = Sim.Stats.Series.create () in
-  List.iter (Sim.Stats.Series.add s) (List.init 100 (fun i -> float_of_int (i + 1)));
-  Alcotest.(check (float 0.001)) "p50" 50.0 (Sim.Stats.Series.percentile s 50.0);
-  Alcotest.(check (float 0.001)) "p95" 95.0 (Sim.Stats.Series.percentile s 95.0);
-  Alcotest.(check (float 0.001)) "p99" 99.0 (Sim.Stats.Series.percentile s 99.0);
-  Alcotest.(check (float 0.001)) "max" 100.0 (Sim.Stats.Series.max s);
-  (* Interleaved adds keep the lazy sort honest. *)
-  Sim.Stats.Series.add s 1000.0;
-  Alcotest.(check (float 0.001)) "new max" 1000.0 (Sim.Stats.Series.max s);
-  Alcotest.(check bool) "matches list percentile" true
-    (Sim.Stats.Series.percentile s 75.0
-    = Sim.Stats.percentile (List.init 100 (fun i -> float_of_int (i + 1)) @ [ 1000.0 ]) 75.0)
-
 let test_reservoir_exact_mode () =
   let r = Sim.Stats.Reservoir.create ~cap:200 ~seed:1 () in
   List.iter (Sim.Stats.Reservoir.add r) (List.init 100 (fun i -> float_of_int (i + 1)));
@@ -674,7 +660,13 @@ let test_reservoir_exact_mode () =
   Alcotest.(check (float 0.001)) "p99" 99.0 (Sim.Stats.Reservoir.percentile r 99.0);
   Alcotest.(check (float 0.001)) "mean" 50.5 (Sim.Stats.Reservoir.mean r);
   Alcotest.(check (float 0.001)) "min" 1.0 (Sim.Stats.Reservoir.min r);
-  Alcotest.(check (float 0.001)) "max" 100.0 (Sim.Stats.Reservoir.max r)
+  Alcotest.(check (float 0.001)) "max" 100.0 (Sim.Stats.Reservoir.max r);
+  (* An add after a percentile query must invalidate the cached sort: a
+     new minimum shifts every rank. *)
+  Sim.Stats.Reservoir.add r 0.0;
+  Alcotest.(check bool) "matches list percentile" true
+    (Sim.Stats.Reservoir.percentile r 75.0
+    = Sim.Stats.percentile (0.0 :: List.init 100 (fun i -> float_of_int (i + 1))) 75.0)
 
 let test_reservoir_merge () =
   (* Exact merge when everything fits in the accumulator's cap. *)
@@ -809,7 +801,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "series percentiles" `Quick test_series_percentiles;
           Alcotest.test_case "reservoir exact mode" `Quick test_reservoir_exact_mode;
           Alcotest.test_case "reservoir merge" `Quick test_reservoir_merge;
           Alcotest.test_case "gauge time-weighted" `Quick test_gauge_time_weighted;

@@ -892,6 +892,128 @@ let interpret_never_crashes =
       in
       true)
 
+(* --- Experiment registry and its gates ------------------------------------ *)
+
+module R = Experiments.Registry
+
+let registry_names = List.map (fun (e : R.entry) -> e.name) R.entries
+
+let test_registry_names_unique () =
+  Alcotest.(check int) "no duplicate names"
+    (List.length registry_names)
+    (List.length (List.sort_uniq compare registry_names))
+
+(* bench/main.exe --list prints these in this order, then its own "micro"
+   row; scripts read that inventory. *)
+let test_registry_list_order () =
+  Alcotest.(check (list string))
+    "table order"
+    [
+      "fig4"; "fig5"; "fig6"; "fig7"; "fig9"; "fig10"; "fig11"; "verify"; "cache"; "faults";
+      "fleet"; "monitor"; "batch"; "audit"; "crypto"; "fuzz"; "backends"; "protocols";
+      "ablations";
+    ]
+    registry_names
+
+(* cloudmonatt experiment resolves its arguments with [select]. *)
+let test_registry_select () =
+  List.iter
+    (fun name ->
+      match R.select [ name ] with
+      | Ok [ e ] -> Alcotest.(check string) "selects itself" name e.R.name
+      | _ -> Alcotest.failf "%s not accepted" name)
+    registry_names;
+  (match R.select [ "all" ] with
+  | Ok all -> Alcotest.(check int) "all is every entry" (List.length R.entries) (List.length all)
+  | Error _ -> Alcotest.fail "all rejected");
+  match R.select [ "fleet"; "no-such" ] with
+  | Error unknown -> Alcotest.(check (list string)) "unknown reported" [ "no-such" ] unknown
+  | Ok _ -> Alcotest.fail "unknown name accepted"
+
+(* Each gate passes on a real run and fails on a doctored copy of it, so
+   every planted case proves its gate can fire. *)
+let test_gate_monitor () =
+  let module M = Experiments.Monitor_exp in
+  let r = M.run ~seed:2015 ~scale:`Smoke () in
+  Alcotest.(check bool) "real run clean" true (M.clean r);
+  let doctor f =
+    match r.M.rows with
+    | row :: rest -> { r with M.rows = { row with M.r = f row.M.r } :: rest }
+    | [] -> Alcotest.fail "no monitor rows"
+  in
+  Alcotest.(check bool) "entry_dups = 1" false
+    (M.clean (doctor (fun d -> { d with Fleet.Driver.mon_entry_dups = 1 })));
+  Alcotest.(check bool) "probe ledger off by one" false
+    (M.clean (doctor (fun d -> { d with Fleet.Driver.mon_shed = d.Fleet.Driver.mon_shed + 1 })))
+
+let test_gate_fleet () =
+  let module F = Experiments.Fleet_exp in
+  let r = F.run ~seed:2015 ~scale:`Smoke () in
+  Alcotest.(check bool) "real run clean" true (F.clean r);
+  let with_curve curve = { r with F.sharded = { r.F.sharded with F.curve } } in
+  let curve = r.F.sharded.F.curve in
+  Alcotest.(check bool) "one-point curve" false (F.clean (with_curve [ List.hd curve ]));
+  Alcotest.(check bool) "curve not starting at 1" false
+    (F.clean (with_curve (List.map (fun row -> { row with F.domains = row.F.domains + 1 }) curve)))
+
+let test_gate_backends () =
+  let module B = Experiments.Backends_exp in
+  let r = B.run ~seed:2015 () in
+  Alcotest.(check bool) "real run clean" true (B.clean r);
+  let starved =
+    List.map
+      (fun (kind, n) -> (kind, if kind = "evtpm" then 0 else n))
+      r.B.fleet.Fleet.Driver.served_by_backend
+  in
+  Alcotest.(check bool) "a backend served 0" false
+    (B.clean { r with B.fleet = { r.B.fleet with Fleet.Driver.served_by_backend = starved } })
+
+let test_gate_protocols () =
+  let module P = Experiments.Protocols_exp in
+  let r = P.run ~seed:2015 () in
+  Alcotest.(check bool) "real run clean" true (P.clean r);
+  let unattacked =
+    List.map
+      (fun (row : P.symbolic_row) -> if row.P.weakened then { row with P.attacks = 0 } else row)
+      r.P.symbolic
+  in
+  Alcotest.(check bool) "weakened term with 0 attacks" false
+    (P.clean { r with P.symbolic = unattacked });
+  let unweakened = List.filter (fun (row : P.symbolic_row) -> not row.P.weakened) r.P.symbolic in
+  Alcotest.(check bool) "fewer than 3 weakened terms" false
+    (P.clean { r with P.symbolic = unweakened })
+
+let test_gate_audit () =
+  let module A = Experiments.Audit_exp in
+  let interval = Sim.Time.sec 1 in
+  let d = A.detection_run ~seed:2015 ~interval in
+  let result detections = { A.seed = 2015; scale = "smoke"; rows = []; detections } in
+  Alcotest.(check bool) "real detection clean" true (A.clean (result [ d ]));
+  Alcotest.(check bool) "detection outside its interval" false
+    (A.clean (result [ { d with A.detected_at = Some (d.A.forked_at + (2 * interval)) } ]));
+  Alcotest.(check bool) "fork never detected" false
+    (A.clean (result [ { d with A.detected_at = None } ]));
+  Alcotest.(check bool) "no detection scenario" false (A.clean (result []))
+
+let test_gate_crypto () =
+  let module C = Experiments.Crypto_bench in
+  let result crt_speedup_1024 =
+    {
+      C.scale = "planted";
+      key_bits = [ 1024 ];
+      sign =
+        [ { C.bits = 1024; crt = true; window = true; ops_per_s = 500.0; ms_per_op = 2.0; iters = 5 } ];
+      verify = [ { C.v_bits = 1024; v_ops_per_s = 9000.0; v_ms_per_op = 0.1; v_iters = 5 } ];
+      memo = { C.m_bits = 1024; hit_ops_per_s = 1e6; miss_ops_per_s = 9000.0; hit_speedup = 100.0 };
+      heap = [ { C.h_size = 1024; h_ops_per_s = 1e7; h_ns_per_op = 100.0; h_iters = 5000 } ];
+      sign_speedup = [];
+      seed_speedup = [];
+      crt_speedup_1024;
+    }
+  in
+  Alcotest.(check bool) "CRT 3x faster" true (C.clean (result 3.0));
+  Alcotest.(check bool) "CRT ratio 1.0" false (C.clean (result 1.0))
+
 let () =
   Alcotest.run "integration"
     [
@@ -962,5 +1084,17 @@ let () =
           Alcotest.test_case "periodic rate limit" `Quick test_periodic_rate_limit;
           Alcotest.test_case "capacity exhaustion" `Quick test_capacity_exhaustion;
           QCheck_alcotest.to_alcotest interpret_never_crashes;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "list order" `Quick test_registry_list_order;
+          Alcotest.test_case "select accepts every name" `Quick test_registry_select;
+          Alcotest.test_case "monitor gate fires" `Quick test_gate_monitor;
+          Alcotest.test_case "fleet gate fires" `Quick test_gate_fleet;
+          Alcotest.test_case "backends gate fires" `Quick test_gate_backends;
+          Alcotest.test_case "protocols gate fires" `Quick test_gate_protocols;
+          Alcotest.test_case "audit gate fires" `Quick test_gate_audit;
+          Alcotest.test_case "crypto gate fires" `Quick test_gate_crypto;
         ] );
     ]

@@ -622,7 +622,7 @@ let cache_model_test =
 let test_exp_smoke_clean () =
   let r = Experiments.Monitor_exp.run ~seed:2015 ~scale:`Smoke () in
   Alcotest.(check bool) "identical across domains" true
-    (Experiments.Monitor_exp.identical_across_domains r);
+    r.Experiments.Monitor_exp.sharded.Experiments.Monitor_exp.identical;
   Alcotest.(check bool) "clean" true (Experiments.Monitor_exp.clean r)
 
 (* Two runs of the experiment must produce byte-identical artifacts once
