@@ -63,7 +63,10 @@ let protocol_cmd =
   let term_arg =
     let doc =
       "Protocol term, e.g. a0.0, (a0.0>a1.1), (a0.0&Qa1.0), d1:a2.0, l0:a0.1; \
-       a '-' after the operator weakens it (a-0.0 drops the nonce)."
+       a '-' after the operator weakens it (a-0.0 drops the nonce).  An appraisal \
+       also takes the marks e (unencrypted hops), k (leaked channel keys), m \
+       (unsigned measurements) and r (unsigned reports), each at most once and \
+       in the order -ekmr, e.g. akm0.0."
     in
     Arg.(value & pos 0 string "a0.0" & info [] ~docv:"TERM" ~doc)
   in

@@ -6,9 +6,11 @@
    Weakened forms stay executable: a no-nonce appraisal reuses a fixed
    public constant as its nonce (the protocol still runs; only replay
    protection is gone, which the symbolic engine — not the simulator —
-   catches), and an unauthenticated delegation executes like an
-   authenticated one because the simulated infrastructure always
-   authenticates: that weakening exists purely for {!Dy} to attack. *)
+   catches).  An unauthenticated delegation and the appraisal marks
+   e/k/m/r (unencrypted hops, leaked channel keys, unsigned measurements or
+   reports) execute like their strong forms, because the simulated
+   infrastructure always encrypts, keeps its keys and signs: those
+   weakenings exist purely for {!Dy} to attack. *)
 
 type leaf_result = {
   slot : int;

@@ -4,36 +4,46 @@
    inside a fuzz-op token):
 
      phrase   := appraise | seq | par | deleg | layer
-     appraise := "a" weak? slot "." prop          atomic appraisal
+     appraise := "a" marks slot "." prop          atomic appraisal
      seq      := "(" phrase ">" phrase ")"        sequential composition
      par      := "(" phrase "&" merge phrase ")"  parallel fan-out
      deleg    := "d" weak? cluster ":" phrase     delegate to AS cluster
      layer    := "l" weak? slot ":" phrase        attest the attester first
      merge    := "A" | "O" | "Q"                  All / Any / Quorum
      weak     := "-"                              weakened (attackable) form
+     marks    := "-"? "e"? "k"? "m"? "r"?          appraisal weakenings, in order
 
    The weakened forms are deliberate protocol mistakes the Dolev-Yao engine
    must catch: "a-" drops the per-round nonce (replay), "d-" delegates
    without authenticating the sub-appraiser, "l-" skips the nested backend
-   freshness check.  [default] is the single appraisal "a0.0", which the
+   freshness check.  The other appraisal marks are the paper's section
+   7.2.2 variants: "e" sends the appraisal's hops unencrypted, "k" leaks
+   their channel keys, "m" leaves the measurements unsigned and "r" the
+   reports.  [default] is the single appraisal "a0.0", which the
    interpreter compiles to exactly today's hardcoded Controller flow. *)
 
 type merge = All | Any | Quorum
 
+type guards = { encrypt : bool; keys_secret : bool; sign_meas : bool; sign_rep : bool }
+
+let guarded = { encrypt = true; keys_secret = true; sign_meas = true; sign_rep = true }
+
 type t =
-  | Appraise of { slot : int; prop : int; nonce : bool }
+  | Appraise of { slot : int; prop : int; nonce : bool; guards : guards }
   | Seq of t * t
   | Par of merge * t * t
   | Deleg of { cluster : int; auth : bool; body : t }
   | Layer of { slot : int; checked : bool; body : t }
 
-let default = Appraise { slot = 0; prop = 0; nonce = true }
+let default = Appraise { slot = 0; prop = 0; nonce = true; guards = guarded }
 
 let merge_char = function All -> 'A' | Any -> 'O' | Quorum -> 'Q'
 
 let rec to_string = function
-  | Appraise { slot; prop; nonce } ->
-      Printf.sprintf "a%s%d.%d" (if nonce then "" else "-") slot prop
+  | Appraise { slot; prop; nonce; guards = g } ->
+      let mark on c = if on then "" else c in
+      Printf.sprintf "a%s%s%s%s%s%d.%d" (mark nonce "-") (mark g.encrypt "e")
+        (mark g.keys_secret "k") (mark g.sign_meas "m") (mark g.sign_rep "r") slot prop
   | Seq (a, b) -> Printf.sprintf "(%s>%s)" (to_string a) (to_string b)
   | Par (m, a, b) ->
       Printf.sprintf "(%s&%c%s)" (to_string a) (merge_char m) (to_string b)
@@ -49,17 +59,15 @@ let of_string s =
   let pos = ref 0 in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
-  let expect c =
+  let mark c =
     match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Parse (Printf.sprintf "expected '%c' at offset %d" c !pos))
-  in
-  let weak () =
-    match peek () with
-    | Some '-' ->
+    | Some c' when c' = c ->
         advance ();
         true
     | _ -> false
+  in
+  let expect c =
+    if not (mark c) then raise (Parse (Printf.sprintf "expected '%c' at offset %d" c !pos))
   in
   let number () =
     let start = !pos in
@@ -73,20 +81,31 @@ let of_string s =
     match peek () with
     | Some 'a' ->
         advance ();
-        let nonce = not (weak ()) in
+        let nonce = not (mark '-') in
+        let encrypt = not (mark 'e') in
+        let keys_secret = not (mark 'k') in
+        let sign_meas = not (mark 'm') in
+        let sign_rep = not (mark 'r') in
+        (match peek () with
+        | Some ('-' | 'e' | 'k' | 'm' | 'r' as c) ->
+            raise
+              (Parse
+                 (Printf.sprintf "mark '%c' repeats or leaves the order -ekmr at offset %d" c
+                    !pos))
+        | _ -> ());
         let slot = number () in
         expect '.';
         let prop = number () in
-        Appraise { slot; prop; nonce }
+        Appraise { slot; prop; nonce; guards = { encrypt; keys_secret; sign_meas; sign_rep } }
     | Some 'd' ->
         advance ();
-        let auth = not (weak ()) in
+        let auth = not (mark '-') in
         let cluster = number () in
         expect ':';
         Deleg { cluster; auth; body = phrase () }
     | Some 'l' ->
         advance ();
-        let checked = not (weak ()) in
+        let checked = not (mark '-') in
         let slot = number () in
         expect ':';
         Layer { slot; checked; body = phrase () }
@@ -142,6 +161,7 @@ type leaf = {
   slot : int;
   prop : int;
   nonce : bool;
+  guards : guards;
   deleg : (int * bool) option;  (** (cluster, authenticated) *)
   layer : (int * bool) option;  (** (host slot, freshness-checked) *)
 }
@@ -149,10 +169,10 @@ type leaf = {
 let leaves phrase =
   let next = ref 0 in
   let rec go deleg layer acc = function
-    | Appraise { slot; prop; nonce } ->
+    | Appraise { slot; prop; nonce; guards } ->
         let index = !next in
         incr next;
-        { index; slot; prop; nonce; deleg; layer } :: acc
+        { index; slot; prop; nonce; guards; deleg; layer } :: acc
     | Seq (a, b) | Par (_, a, b) -> go deleg layer (go deleg layer acc a) b
     | Deleg { cluster; auth; body } -> go (Some (cluster, auth)) layer acc body
     | Layer { slot; checked; body } -> go deleg (Some (slot, checked)) acc body
@@ -160,7 +180,7 @@ let leaves phrase =
   List.rev (go None None [] phrase)
 
 let rec weakened = function
-  | Appraise { nonce; _ } -> not nonce
+  | Appraise { nonce; guards; _ } -> (not nonce) || guards <> guarded
   | Seq (a, b) | Par (_, a, b) -> weakened a || weakened b
   | Deleg { auth; body; _ } -> (not auth) || weakened body
   | Layer { checked; body; _ } -> (not checked) || weakened body

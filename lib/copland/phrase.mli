@@ -17,8 +17,20 @@ type merge =
   | Any  (** healthy if either branch is healthy (disjunction) *)
   | Quorum  (** healthy iff a strict majority of leaf appraisals are *)
 
+(** The section 7.2.2 protections of one appraisal; each [false] field is
+    a weakened form the Dolev-Yao engine must attack. *)
+type guards = {
+  encrypt : bool;  (** the appraisal's hops are encrypted (['e'] drops it) *)
+  keys_secret : bool;  (** their channel keys stay secret (['k'] leaks them) *)
+  sign_meas : bool;  (** the server signs its measurements (['m'] drops it) *)
+  sign_rep : bool;  (** the AS and controller sign reports (['r'] drops it) *)
+}
+
+val guarded : guards
+(** Every protection on: the protocol as the paper specifies it. *)
+
 type t =
-  | Appraise of { slot : int; prop : int; nonce : bool }
+  | Appraise of { slot : int; prop : int; nonce : bool; guards : guards }
       (** appraise property [prop] of the VM in [slot]; [nonce = false] is
           the weakened replay-prone form *)
   | Seq of t * t
@@ -35,11 +47,14 @@ val default : t
 
 val to_string : t -> string
 (** Deterministic one-line codec: [a0.0], [(a0.0>a1.0)], [(a0.0&Aa1.1)],
-    [d1:a2.0], [l0:a0.1]; weakened forms carry a ['-'] after the operator.
-    Never contains a space or [';'], so it embeds in fuzz-op tokens. *)
+    [d1:a2.0], [l0:a0.1]; weakened forms carry a ['-'] after the operator,
+    and an appraisal's dropped {!guards} follow as the marks ['e'], ['k'],
+    ['m'], ['r'] in that order ([a-km0.0]).  Never contains a space or
+    [';'], so it embeds in fuzz-op tokens. *)
 
 val of_string : string -> (t, string) result
-(** Strict inverse of {!to_string}: rejects trailing garbage. *)
+(** Strict inverse of {!to_string}: rejects trailing garbage and marks
+    that repeat or leave their order. *)
 
 val equal : t -> t -> bool
 val size : t -> int
@@ -53,6 +68,7 @@ type leaf = {
   slot : int;
   prop : int;
   nonce : bool;
+  guards : guards;  (** the appraisal's own protections *)
   deleg : (int * bool) option;  (** enclosing (cluster, authenticated) *)
   layer : (int * bool) option;  (** enclosing (host slot, checked) *)
 }
@@ -61,6 +77,6 @@ val leaves : t -> leaf list
 (** Leaf appraisals in execution order with their enclosing context. *)
 
 val weakened : t -> bool
-(** Does any node use a weakened ['-'] form? *)
+(** Does any node use a weakened form (a ['-'] or an appraisal mark)? *)
 
 val pp : Format.formatter -> t -> unit

@@ -38,7 +38,7 @@ val measurement_cost : ?backend:Tpm.Backend.kind -> Protocol.measure_request -> 
 val batch_measurement_cost :
   ?backend:Tpm.Backend.kind -> Protocol.batch_measure_request -> Sim.Time.t
 (** Simulated cost of a batched round: one session keygen + one root
-    signature for the whole batch ({!Core.Costs.batch_quote_cost}), plus
+    signature for the whole batch ({!Core.Costs.batch_quote_cost_for}), plus
     per-measurement collection.  The client answers batch requests on the
     same channel as single ones, distinguished by the wire magic. *)
 

@@ -62,9 +62,6 @@ let quote_sign_for = function
 let merkle_hash = Sim.Time.us 40
 
 (* Trust-Module side: build the tree, mint one session key, sign the root. *)
-let batch_quote_cost ~batch =
-  session_keygen + quote_sign + (Crypto.Merkle.node_count batch * merkle_hash)
-
 let batch_quote_cost_for ~batch kind =
   session_keygen_for kind + quote_sign_for kind
   + (Crypto.Merkle.node_count batch * merkle_hash)
@@ -73,11 +70,6 @@ let batch_quote_cost_for ~batch kind =
    a leaf hash plus an O(log n) inclusion-proof walk. *)
 let batch_verify_cost ~batch =
   signature_verify + (batch * (1 + Crypto.Merkle.max_proof_length batch) * merkle_hash)
-
-(* Amortized per-report Trust-Module shares, for display and calibration
-   (integer division: the driver charges whole batches, never these). *)
-let amortized_session_keygen ~batch = session_keygen / max 1 batch
-let amortized_quote_sign ~batch = quote_sign / max 1 batch
 
 (* Transparency log (lib/audit).  Appending a verdict rehashes the leaf and
    the O(log n) right-spine interiors; proofs are O(log n) hash walks; tree

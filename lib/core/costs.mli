@@ -68,21 +68,14 @@ val quote_sign_for : Tpm.Backend.kind -> Sim.Time.t
 val merkle_hash : Sim.Time.t
 (** One hash evaluation while building a tree or walking a proof. *)
 
-val batch_quote_cost : batch:int -> Sim.Time.t
-(** Trust-Module cost of quoting a batch: one session keygen, one root
-    signature, [Crypto.Merkle.node_count batch] hashes. *)
-
 val batch_quote_cost_for : batch:int -> Tpm.Backend.kind -> Sim.Time.t
-(** {!batch_quote_cost} with the backend's own keygen/sign terms. *)
+(** Trust-Module cost of quoting a batch under the given backend: one
+    session keygen, one root signature, [Crypto.Merkle.node_count batch]
+    hashes. *)
 
 val batch_verify_cost : batch:int -> Sim.Time.t
 (** Appraiser cost: one signature verification plus per-report
     inclusion-proof walks. *)
-
-val amortized_session_keygen : batch:int -> Sim.Time.t
-val amortized_quote_sign : batch:int -> Sim.Time.t
-(** Per-report share of the batch's single RSA operations (display only —
-    ledgers charge whole batches). *)
 
 (** {2 Transparency-log costs (lib/audit)}
 

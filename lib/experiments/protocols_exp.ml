@@ -6,7 +6,12 @@
    dropped strengthening protects (with a concrete attack attached).  The
    executable sweep is the other half of the same contract — the envelope
    {!Copland.Estimate} derives from {!Core.Costs} must actually contain
-   what the live Controller run spends. *)
+   what the live Controller run spends.
+
+   The [verify] entry reuses the symbolic section for the paper's section
+   7.2.2 table: the protocol as specified and its weakened variants, each
+   of which must violate exactly the checks the paper's analysis
+   predicts. *)
 
 module P = Copland.Phrase
 
@@ -17,6 +22,7 @@ type symbolic_row = {
   expected : string list;
   violated : string list;
   attacks : int;
+  checks : Copland.Dy.check list;
   as_expected : bool;
 }
 
@@ -59,20 +65,70 @@ let symbolic_catalogue =
     ("replay-into-layer", "(a-0.0>l-1:a1.0)", [ "freshness" ]);
   ]
 
-let symbolic_row (name, line, expected) =
+(* Section 7.2.2: the protocol as specified and the paper's weakened
+   variants, each violating exactly the listed checks.  The last two drop
+   a signature with the channel keys leaked, so the signature chain is all
+   that stands between the attacker and the payloads: every check but
+   identity-key secrecy breaks. *)
+let section_722 =
+  let all_but_identity_keys =
+    List.filter (fun id -> id <> "secrecy-identity-keys") Copland.Dy.check_ids
+  in
+  [
+    ("secure protocol (as specified)", "a0.0", []);
+    ("no nonces in quoted payloads", "a-0.0", [ "freshness" ]);
+    ( "no encryption (SSL layer off)",
+      "ae0.0",
+      [ "secrecy-payloads"; "auth-customer-controller"; "auth-controller-as"; "auth-as-server" ] );
+    ( "channel keys leaked (compromised SSL endpoints)",
+      "ak0.0",
+      [
+        "secrecy-channel-keys";
+        "secrecy-payloads";
+        "auth-customer-controller";
+        "auth-controller-as";
+        "auth-as-server";
+      ] );
+    ("measurements unsigned + channel keys leaked", "akm0.0", all_but_identity_keys);
+    ("reports unsigned + channel keys leaked", "akr0.0", all_but_identity_keys);
+  ]
+
+(* A clean term holds every check with no attack; a weakened one violates
+   the expected checks (exactly those when [exact]) with at least one
+   concrete attack. *)
+let meets ~exact { expected; violated; attacks; _ } =
+  if expected = [] then violated = [] && attacks = 0
+  else
+    attacks > 0
+    &&
+    if exact then List.sort compare violated = List.sort compare expected
+    else List.for_all (fun id -> List.mem id violated) expected
+
+let symbolic_row ~exact (name, line, expected) =
   let term =
     match P.of_string line with
     | Ok t -> t
     | Error e -> invalid_arg (Printf.sprintf "protocols_exp: bad term %s: %s" line e)
   in
   let report = Copland.Dy.verify term in
-  let violated = Copland.Dy.violated report in
-  let attacks = List.length report.Copland.Dy.attacks in
-  let as_expected =
-    if expected = [] then violated = [] && attacks = 0
-    else List.for_all (fun id -> List.mem id violated) expected && attacks > 0
+  let row =
+    {
+      name;
+      term;
+      weakened = P.weakened term;
+      expected;
+      violated = Copland.Dy.violated report;
+      attacks = List.length report.Copland.Dy.attacks;
+      checks = report.Copland.Dy.checks;
+      as_expected = false;
+    }
   in
-  { name; term; weakened = P.weakened term; expected; violated; attacks; as_expected }
+  { row with as_expected = meets ~exact row }
+
+let verification () = List.map (symbolic_row ~exact:true) section_722
+
+(* Recomputed from the rows, so a doctored row trips it. *)
+let verified rows = List.for_all (meets ~exact:true) rows
 
 (* --- Executable section -------------------------------------------------- *)
 
@@ -100,7 +156,7 @@ let ledger_compute ledger =
    cluster that actually appraises the covered slot, layers stay on the
    covered slot's own host. *)
 let exec_shapes env =
-  let a slot prop = P.Appraise { slot; prop; nonce = true } in
+  let a slot prop = P.Appraise { slot; prop; nonce = true; guards = P.guarded } in
   let cluster_of = env.Copland.Env.typing.Copland.Typing.cluster_of in
   [
     ("default", P.default);
@@ -180,7 +236,7 @@ let exec_scale ~seed ~servers ~as_clusters =
     (exec_shapes env)
 
 let run ?(seed = 2015) () =
-  let symbolic = List.map symbolic_row symbolic_catalogue in
+  let symbolic = List.map (symbolic_row ~exact:false) symbolic_catalogue in
   let executable =
     exec_scale ~seed ~servers:3 ~as_clusters:1
     @ exec_scale ~seed ~servers:4 ~as_clusters:2
@@ -222,12 +278,26 @@ let print ({ seed; symbolic; executable } as r) =
     executable;
   Printf.printf "\n%s\n" (if clean r then "all gates clean" else "GATE VIOLATIONS — see above")
 
+let print_verification rows =
+  Common.section "Section 7.2.2: protocol verification (Dolev-Yao symbolic checker)";
+  List.iter
+    (fun r ->
+      Printf.printf "\n--- %s: %s  [%s]\n" r.name (P.to_string r.term)
+        (if r.as_expected then "matches expectations" else "UNEXPECTED OUTCOME");
+      List.iter
+        (fun c -> Printf.printf "  %s\n" (Format.asprintf "%a" Copland.Dy.pp_check c))
+        r.checks)
+    rows;
+  print_endline
+    (if verified rows then "\nAll protocol variants behave as expected."
+     else "\nUNEXPECTED verification outcome!")
+
 let status_str = function
   | Core.Report.Healthy -> "healthy"
   | Core.Report.Compromised _ -> "compromised"
   | Core.Report.Unknown _ -> "unknown"
 
-let symbolic_to_json { name; term; weakened; expected; violated; attacks; as_expected } =
+let symbolic_to_json { name; term; weakened; expected; violated; attacks; as_expected; _ } =
   Json.Obj
     [
       ("name", Json.Str name);

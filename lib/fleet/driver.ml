@@ -120,19 +120,17 @@ type result = {
 (* --- Cost model, anchored to lib/core's calibrated ledger constants ------ *)
 
 (* Fleet clusters span racks, so a wire leg costs more than the single-rack
-   LAN model in lib/net; the crypto and measurement terms are exactly the
-   ones the real attestation path charges to its ledger. *)
+   LAN model in lib/net.  The crypto and measurement terms are a subset of
+   what the real attestation path charges to its ledger: the AS-side term
+   below leaves out session keygen (inside [as:server-measure]),
+   [as:pca-certify], [as:db-lookup] and [as:report-sign], so
+   [cold_attest_ms] (175 ms) sits well under the 547 ms of compute one
+   real [Controller.attest] ledger charges. *)
 let wire_leg = Sim.Time.ms 12
 
-(* AS-side occupancy of one measurement round: collect from the cloud
-   server (two legs), interpret, sign the quoted report. *)
-let cold_service_base =
-  (2 * wire_leg) + Core.Costs.measurement_collect + Core.Costs.interpret
-  + Core.Costs.quote_sign + Core.Costs.signature_verify
-
-(* Per-backend variant: swap the quote-signing term for the backend's own,
-   and charge the CVM platform-chain walk on top of the signature check.
-   [Classic] reduces to exactly [cold_service_base]. *)
+(* AS-side occupancy of one measurement round under a backend: collect
+   from the cloud server (two legs), interpret, the backend's quote
+   signature and its verification, plus the CVM platform-chain walk. *)
 let cold_service_base_for kind =
   (2 * wire_leg) + Core.Costs.measurement_collect + Core.Costs.interpret
   + Core.Costs.quote_sign_for kind + Core.Costs.signature_verify
@@ -169,8 +167,6 @@ let batch_service_base_for kind n =
       | Tpm.Backend.Cvm_report -> Core.Costs.cvm_chain_verify
       | Tpm.Backend.Classic | Tpm.Backend.Evtpm -> 0)
 
-let batch_service_base = batch_service_base_for Tpm.Backend.Classic
-
 (* Per-verdict transparency-log work when auditing is on: the AS appends
    the signed report (O(log n) sibling hashes), signs a fresh tree head,
    serves the inclusion proof, and the controller verifies the receipt
@@ -182,9 +178,11 @@ let audit_verdict_cost ~size =
 
 let audit_verdict_ms ~size = Sim.Time.to_ms (audit_verdict_cost ~size)
 
-let cold_attest_ms = Sim.Time.to_ms (cold_service_base + controller_overhead)
+let cold_attest_ms =
+  Sim.Time.to_ms (cold_service_base_for Tpm.Backend.Classic + controller_overhead)
 let cache_hit_ms = Sim.Time.to_ms cache_hit_cost
-let batch_attest_ms n = Sim.Time.to_ms (batch_service_base n + controller_overhead)
+let batch_attest_ms n =
+  Sim.Time.to_ms (batch_service_base_for Tpm.Backend.Classic n + controller_overhead)
 
 let properties = Array.of_list Core.Property.all
 

@@ -16,7 +16,12 @@ let merge prng = Sim.Prng.pick prng [| Copland.Phrase.All; Copland.Phrase.Any; C
 
 let appraise prng ~slots =
   Copland.Phrase.Appraise
-    { slot = Sim.Prng.int prng slots; prop = Sim.Prng.int prng n_properties; nonce = true }
+    {
+      slot = Sim.Prng.int prng slots;
+      prop = Sim.Prng.int prng n_properties;
+      nonce = true;
+      guards = Copland.Phrase.guarded;
+    }
 
 let rec body prng ~slots ~depth ~deleg_ok =
   if depth <= 0 then appraise prng ~slots
@@ -49,7 +54,12 @@ let rec body prng ~slots ~depth ~deleg_ok =
             checked = true;
             body =
               Copland.Phrase.Appraise
-                { slot; prop = Sim.Prng.int prng n_properties; nonce = true };
+                {
+                  slot;
+                  prop = Sim.Prng.int prng n_properties;
+                  nonce = true;
+                  guards = Copland.Phrase.guarded;
+                };
           }
 
 let generate prng ~slots =
@@ -82,9 +92,9 @@ let weaken prng phrase =
       !seen = target
     in
     let rec go = function
-      | Copland.Phrase.Appraise { slot; prop; nonce } ->
+      | Copland.Phrase.Appraise { slot; prop; nonce; guards } ->
           let nonce = if nonce && hit () then false else nonce in
-          Copland.Phrase.Appraise { slot; prop; nonce }
+          Copland.Phrase.Appraise { slot; prop; nonce; guards }
       | Copland.Phrase.Seq (a, b) ->
           let a = go a in
           Copland.Phrase.Seq (a, go b)

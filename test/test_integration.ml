@@ -983,6 +983,22 @@ let test_gate_protocols () =
   Alcotest.(check bool) "fewer than 3 weakened terms" false
     (P.clean { r with P.symbolic = unweakened })
 
+let test_gate_verify () =
+  let module P = Experiments.Protocols_exp in
+  let rows = P.verification () in
+  Alcotest.(check bool) "real run verified" true (P.verified rows);
+  (* One doctored row (the no-encryption variant) must trip the gate. *)
+  let doctor f =
+    List.map
+      (fun (row : P.symbolic_row) ->
+        if Copland.Phrase.to_string row.P.term = "ae0.0" then f row else row)
+      rows
+  in
+  Alcotest.(check bool) "violated set differs from expected" false
+    (P.verified (doctor (fun row -> { row with P.violated = List.tl row.P.violated })));
+  Alcotest.(check bool) "weakened row with 0 attacks" false
+    (P.verified (doctor (fun row -> { row with P.attacks = 0 })))
+
 let test_gate_audit () =
   let module A = Experiments.Audit_exp in
   let interval = Sim.Time.sec 1 in
@@ -1094,6 +1110,7 @@ let () =
           Alcotest.test_case "fleet gate fires" `Quick test_gate_fleet;
           Alcotest.test_case "backends gate fires" `Quick test_gate_backends;
           Alcotest.test_case "protocols gate fires" `Quick test_gate_protocols;
+          Alcotest.test_case "verify gate fires" `Quick test_gate_verify;
           Alcotest.test_case "audit gate fires" `Quick test_gate_audit;
           Alcotest.test_case "crypto gate fires" `Quick test_gate_crypto;
         ] );

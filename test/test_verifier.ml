@@ -1,4 +1,6 @@
-(* Tests for the symbolic protocol verifier. *)
+(* Tests for the generic Dolev-Yao engine (terms and attacker deduction)
+   and for the CloudMonatt protocol model built on it: Copland.Dy run on
+   the paper's section 7.2.2 variants, written as phrases. *)
 
 open Verifier
 
@@ -100,73 +102,93 @@ let test_term_printing () =
 
 (* --- CloudMonatt model ----------------------------------------------------------- *)
 
-let expected_violations variant =
-  List.filter_map
-    (fun (c : Properties.check) ->
-      match c.outcome with Properties.Holds -> None | Properties.Violated _ -> Some c.id)
-    (Properties.run variant)
+let verify line =
+  match Copland.Phrase.of_string line with
+  | Ok p -> Copland.Dy.verify p
+  | Error e -> Alcotest.fail (Printf.sprintf "phrase %S did not parse: %s" line e)
+
+let all_but_identity_keys =
+  [
+    "secrecy-channel-keys"; "secrecy-payloads"; "integrity"; "freshness";
+    "auth-customer-controller"; "auth-controller-as"; "auth-as-server";
+  ]
+
+(* The section 7.2.2 rows: secure, no nonces, no encryption, leaked
+   channel keys, and the two unsigned payloads (with leaked keys, so the
+   signature is the only guard left). *)
+let section_722 = [ "a0.0"; "a-0.0"; "ae0.0"; "ak0.0"; "akm0.0"; "akr0.0" ]
+
+let check_violations line expected =
+  let r = verify line in
+  Alcotest.(check (list string)) (line ^ " violated set") expected (Copland.Dy.violated r);
+  Alcotest.(check bool) (line ^ " attacked iff weakened") (expected <> [])
+    (r.Copland.Dy.attacks <> [])
+
+let has_integrity_attack line =
+  List.exists (fun a -> a.Copland.Dy.check_id = "integrity") (verify line).Copland.Dy.attacks
 
 let test_secure_protocol_all_hold () =
-  Alcotest.(check (list string)) "no violations" [] (expected_violations Model.secure);
-  Alcotest.(check bool) "holds" true (Properties.holds (Properties.run Model.secure))
+  check_violations "a0.0" [];
+  Alcotest.(check bool) "holds" true (Copland.Dy.holds (verify "a0.0"))
 
-let test_no_nonces_breaks_freshness_only () =
-  Alcotest.(check (list string)) "only freshness" [ "freshness" ]
-    (expected_violations Model.no_nonces)
+let test_no_nonces_breaks_freshness_only () = check_violations "a-0.0" [ "freshness" ]
 
 let test_no_encryption_breaks_secrecy_and_auth () =
-  let got = List.sort compare (expected_violations Model.no_encryption) in
-  Alcotest.(check (list string)) "secrecy + auth"
-    [ "auth-as-server"; "auth-controller-as"; "auth-customer-controller"; "secrecy-payloads" ]
-    got
+  check_violations "ae0.0"
+    [ "secrecy-payloads"; "auth-customer-controller"; "auth-controller-as"; "auth-as-server" ]
 
 let test_compromised_channels_integrity_survives () =
-  let checks = Properties.run Model.compromised_channels in
-  (match Properties.find checks "integrity" with
-  | Some { outcome = Properties.Holds; _ } -> ()
-  | _ -> Alcotest.fail "signature chain must survive channel compromise");
-  match Properties.find checks "freshness" with
-  | Some { outcome = Properties.Holds; _ } -> ()
-  | _ -> Alcotest.fail "nonces must survive channel compromise"
+  (* Compromised SSL endpoints: the signature chain and the nonces alone
+     keep integrity and freshness. *)
+  check_violations "ak0.0"
+    [
+      "secrecy-channel-keys"; "secrecy-payloads"; "auth-customer-controller";
+      "auth-controller-as"; "auth-as-server";
+    ];
+  let violated = Copland.Dy.violated (verify "ak0.0") in
+  Alcotest.(check bool) "integrity survives" false (List.mem "integrity" violated);
+  Alcotest.(check bool) "freshness survives" false (List.mem "freshness" violated)
 
 let test_unsigned_measurements_forgeable () =
-  let checks = Properties.run Model.no_measurement_signature in
-  match Properties.find checks "integrity" with
-  | Some { outcome = Properties.Violated _; _ } -> ()
-  | _ -> Alcotest.fail "unsigned measurements must be forgeable"
+  check_violations "akm0.0" all_but_identity_keys;
+  Alcotest.(check bool) "integrity attack" true (has_integrity_attack "akm0.0")
 
 let test_unsigned_reports_forgeable () =
-  let checks = Properties.run Model.no_report_signature in
-  match Properties.find checks "integrity" with
-  | Some { outcome = Properties.Violated _; _ } -> ()
-  | _ -> Alcotest.fail "unsigned reports must be forgeable"
+  check_violations "akr0.0" all_but_identity_keys;
+  Alcotest.(check bool) "integrity attack" true (has_integrity_attack "akr0.0")
 
 let test_identity_keys_never_leak () =
   (* In every variant, long-term private keys stay secret: the protocol
      never transmits them in any form. *)
   List.iter
-    (fun variant ->
-      let checks = Properties.run variant in
-      match Properties.find checks "secrecy-identity-keys" with
-      | Some { outcome = Properties.Holds; _ } -> ()
-      | _ -> Alcotest.fail "identity keys leaked")
-    [
-      Model.secure; Model.no_nonces; Model.no_encryption; Model.compromised_channels;
-      Model.no_measurement_signature; Model.no_report_signature;
-    ]
+    (fun line ->
+      Alcotest.(check bool) (line ^ " keeps identity keys") false
+        (List.mem "secrecy-identity-keys" (Copland.Dy.violated (verify line))))
+    section_722
 
 let test_check_ids_stable () =
-  let checks = Properties.run Model.secure in
-  Alcotest.(check (list string)) "ids in order" Properties.check_ids
-    (List.map (fun (c : Properties.check) -> c.id) checks)
+  List.iter
+    (fun line ->
+      Alcotest.(check (list string)) (line ^ " ids in order") Copland.Dy.check_ids
+        (List.map (fun c -> c.Copland.Dy.id) (verify line).Copland.Dy.checks))
+    section_722
 
 let test_model_sessions () =
-  let t = Model.build Model.secure in
-  Alcotest.(check int) "two sessions" 2 (List.length t.Model.sessions);
-  (* P and rM are shared across sessions; nonces are not. *)
-  let s1 = List.nth t.Model.sessions 0 and s2 = List.nth t.Model.sessions 1 in
-  Alcotest.(check bool) "P shared" true (Term.equal s1.Model.property s2.Model.property);
-  Alcotest.(check bool) "nonces fresh" false (Term.equal s1.Model.n3 s2.Model.n3)
+  (* Two sessions share the payloads; only their nonces tell them apart.
+     With per-session nonces nothing replays; without, the intercepted
+     session-1 quote (same rM, session-1 key, reused nonce) is accepted in
+     session 2. *)
+  let freshness_attacks line =
+    List.filter (fun a -> a.Copland.Dy.check_id = "freshness") (verify line).Copland.Dy.attacks
+  in
+  Alcotest.(check int) "fresh nonces: no replay" 0 (List.length (freshness_attacks "a0.0"));
+  match freshness_attacks "a-0.0" with
+  | [ a ] ->
+      let subs = Term.subterms a.Copland.Dy.message in
+      Alcotest.(check bool) "shared payload rM" true (List.mem (Term.Fresh "rM") subs);
+      Alcotest.(check bool) "session-1 key" true (List.mem (Term.Fresh "ASKs.1.0") subs);
+      Alcotest.(check bool) "reused nonce" true (List.mem (Term.Const "nonce0") subs)
+  | attacks -> Alcotest.failf "expected one replay, got %d" (List.length attacks)
 
 let () =
   Alcotest.run "verifier"
