@@ -1,18 +1,6 @@
-type t = {
-  server : Hypervisor.Server.t;
-  trust : Tpm.Backend.t;
-  kernel : Monitors.Monitor_kernel.t;
-  identity : Net.Secure_channel.Identity.t;
-  mutable served : int;
-}
+type t = { trust : Tpm.Backend.t; kernel : Monitors.Monitor_kernel.t }
 
 let address_of name = "att:" ^ name
-
-let address t = address_of (Hypervisor.Server.name t.server)
-let server t = t.server
-let kernel t = t.kernel
-let identity t = t.identity
-let requests_served t = t.served
 
 let error_reply reason =
   Wire.Codec.encode (fun e ->
@@ -24,115 +12,107 @@ let ok_reply payload =
       Wire.Codec.Enc.u8 e 1;
       Wire.Codec.Enc.str e payload)
 
+let ( let* ) = Result.bind
+
+(* Collect one report's measurements through the Monitor Kernel (loading
+   the Trust Evidence Registers); the same for both request shapes. *)
+let collect t ~vid requests_raw =
+  match Monitors.Measurement.decode_requests requests_raw with
+  | None -> Error "malformed measurement list"
+  | Some requests -> (
+      match Monitors.Monitor_kernel.collect t.kernel ~vid requests with
+      | Error (`Unknown_vm vid) -> Error ("unknown vm " ^ vid)
+      | Error (`Unsupported r) ->
+          Error ("unsupported measurement " ^ Monitors.Measurement.request_to_string r)
+      | Ok values -> Ok (Monitors.Measurement.encode_values values))
+
+let measure_one t (req : Protocol.measure_request) =
+  let* values_raw = collect t ~vid:req.vid req.requests_raw in
+  let session = Tpm.Backend.begin_session t.trust in
+  let quote =
+    Protocol.q3 ~vid:req.vid ~requests_raw:req.requests_raw ~values_raw ~nonce:req.nonce
+  in
+  let unsigned =
+    {
+      Protocol.vid = req.vid;
+      requests_raw = req.requests_raw;
+      values_raw;
+      nonce = req.nonce;
+      quote;
+      signature = "";
+      avk = Crypto.Rsa.public_to_string session.public;
+      endorsement = session.endorsement;
+    }
+  in
+  let signature =
+    match
+      Tpm.Backend.sign_with_session t.trust session (Protocol.measure_response_payload unsigned)
+    with
+    | Some s -> s
+    | None -> ""
+  in
+  Tpm.Backend.end_session t.trust session;
+  Ok (Protocol.encode_measure_response { unsigned with signature })
+
 (* Batched measurement: collect every item, build a Merkle tree over the
    per-item Q3 quotes, and have the Trust Module mint ONE session key and
    sign ONE root — the whole point of batching.  Any item that cannot be
    collected fails the batch (the AS retries those items unbatched), so a
    batch reply always covers exactly what was asked. *)
-let handle_batch t (req : Protocol.batch_measure_request) =
-  if req.bm_items = [] then error_reply "empty batch"
-  else begin
-    let rec collect acc = function
-      | [] -> Ok (List.rev acc)
-      | (vid, requests_raw) :: rest -> (
-          match Monitors.Measurement.decode_requests requests_raw with
-          | None -> Error "malformed measurement list"
-          | Some requests -> (
-              match Monitors.Monitor_kernel.collect t.kernel ~vid requests with
-              | Error (`Unknown_vm vid) -> Error ("unknown vm " ^ vid)
-              | Error (`Unsupported r) ->
-                  Error
-                    ("unsupported measurement " ^ Monitors.Measurement.request_to_string r)
-              | Ok values ->
-                  collect
-                    ((vid, requests_raw, Monitors.Measurement.encode_values values) :: acc)
-                    rest))
-    in
-    match collect [] req.bm_items with
-    | Error why -> error_reply why
-    | Ok measured ->
-        let leaves =
-          List.map
-            (fun (vid, requests_raw, values_raw) ->
-              Protocol.q3 ~vid ~requests_raw ~values_raw ~nonce:req.bm_nonce)
-            measured
-        in
-        let root = Crypto.Merkle.root leaves in
-        let session = Tpm.Backend.begin_session t.trust in
-        let signature =
-          match Tpm.Backend.quote_batch t.trust session ~root ~nonce:req.bm_nonce with
-          | Some s -> s
-          | None -> ""
-        in
-        Tpm.Backend.end_session t.trust session;
-        let items =
-          List.mapi
-            (fun i (bi_vid, bi_requests_raw, bi_values_raw) ->
-              {
-                Protocol.bi_vid;
-                bi_requests_raw;
-                bi_values_raw;
-                bi_proof = Crypto.Merkle.proof leaves i;
-              })
-            measured
-        in
-        t.served <- t.served + List.length items;
-        ok_reply
-          (Protocol.encode_batch_measure_response
-             {
-               Protocol.br_items = items;
-               br_nonce = req.bm_nonce;
-               br_root = root;
-               br_signature = signature;
-               br_avk = Crypto.Rsa.public_to_string session.public;
-               br_endorsement = session.endorsement;
-             })
-  end
+let measure_batch t (req : Protocol.batch_measure_request) =
+  let rec collect_all acc = function
+    | [] -> Ok (List.rev acc)
+    | (vid, requests_raw) :: rest ->
+        let* values_raw = collect t ~vid requests_raw in
+        collect_all ((vid, requests_raw, values_raw) :: acc) rest
+  in
+  let* measured = if req.bm_items = [] then Error "empty batch" else collect_all [] req.bm_items in
+  let leaves =
+    List.map
+      (fun (vid, requests_raw, values_raw) ->
+        Protocol.q3 ~vid ~requests_raw ~values_raw ~nonce:req.bm_nonce)
+      measured
+  in
+  let root = Crypto.Merkle.root leaves in
+  let session = Tpm.Backend.begin_session t.trust in
+  let signature =
+    match Tpm.Backend.quote_batch t.trust session ~root ~nonce:req.bm_nonce with
+    | Some s -> s
+    | None -> ""
+  in
+  Tpm.Backend.end_session t.trust session;
+  let items =
+    List.mapi
+      (fun i (bi_vid, bi_requests_raw, bi_values_raw) ->
+        {
+          Protocol.bi_vid;
+          bi_requests_raw;
+          bi_values_raw;
+          bi_proof = Crypto.Merkle.proof leaves i;
+        })
+      measured
+  in
+  Ok
+    (Protocol.encode_batch_measure_response
+       {
+         Protocol.br_items = items;
+         br_nonce = req.bm_nonce;
+         br_root = root;
+         br_signature = signature;
+         br_avk = Crypto.Rsa.public_to_string session.public;
+         br_endorsement = session.endorsement;
+       })
 
 let handle t plaintext =
-  match Protocol.decode_batch_measure_request plaintext with
-  | Some req -> handle_batch t req
-  | None -> (
-  match Protocol.decode_measure_request plaintext with
-  | None -> error_reply "malformed measurement request"
-  | Some req -> (
-      match Monitors.Measurement.decode_requests req.requests_raw with
-      | None -> error_reply "malformed measurement list"
-      | Some requests -> (
-          match Monitors.Monitor_kernel.collect t.kernel ~vid:req.vid requests with
-          | Error (`Unknown_vm vid) -> error_reply ("unknown vm " ^ vid)
-          | Error (`Unsupported r) ->
-              error_reply ("unsupported measurement " ^ Monitors.Measurement.request_to_string r)
-          | Ok values ->
-              let values_raw = Monitors.Measurement.encode_values values in
-              let session = Tpm.Backend.begin_session t.trust in
-              let quote =
-                Protocol.q3 ~vid:req.vid ~requests_raw:req.requests_raw ~values_raw
-                  ~nonce:req.nonce
-              in
-              let unsigned =
-                {
-                  Protocol.vid = req.vid;
-                  requests_raw = req.requests_raw;
-                  values_raw;
-                  nonce = req.nonce;
-                  quote;
-                  signature = "";
-                  avk = Crypto.Rsa.public_to_string session.public;
-                  endorsement = session.endorsement;
-                }
-              in
-              let signature =
-                match
-                  Tpm.Backend.sign_with_session t.trust session
-                    (Protocol.measure_response_payload unsigned)
-                with
-                | Some s -> s
-                | None -> ""
-              in
-              Tpm.Backend.end_session t.trust session;
-              t.served <- t.served + 1;
-              ok_reply (Protocol.encode_measure_response { unsigned with signature }))))
+  let reply =
+    match Protocol.decode_batch_measure_request plaintext with
+    | Some req -> measure_batch t req
+    | None -> (
+        match Protocol.decode_measure_request plaintext with
+        | None -> Error "malformed measurement request"
+        | Some req -> measure_one t req)
+  in
+  match reply with Ok payload -> ok_reply payload | Error why -> error_reply why
 
 let create ~net ~ca ~seed ?(key_bits = 1024) server =
   match Hypervisor.Server.trust_backend server with
@@ -147,15 +127,7 @@ let create ~net ~ca ~seed ?(key_bits = 1024) server =
       let identity =
         Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|attclient") ~bits:key_bits ~name ()
       in
-      let t =
-        {
-          server;
-          trust;
-          kernel = Monitors.Monitor_kernel.create server;
-          identity;
-          served = 0;
-        }
-      in
+      let t = { trust; kernel = Monitors.Monitor_kernel.create server } in
       let channel_server =
         Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed
           ~on_request:(fun ~peer:_ plaintext -> handle t plaintext)
@@ -163,7 +135,7 @@ let create ~net ~ca ~seed ?(key_bits = 1024) server =
       Net.Network.register net (address_of name) (Net.Secure_channel.Server.handle channel_server);
       Ok t
 
-let measurement_cost ?(backend = Tpm.Backend.Classic) (req : Protocol.measure_request) =
+let measurement_cost ~backend (req : Protocol.measure_request) =
   let n =
     match Monitors.Measurement.decode_requests req.requests_raw with
     | Some rs -> List.length rs
@@ -172,7 +144,7 @@ let measurement_cost ?(backend = Tpm.Backend.Classic) (req : Protocol.measure_re
   Costs.session_keygen_for backend + Costs.quote_sign_for backend
   + (n * Costs.measurement_collect)
 
-let batch_measurement_cost ?(backend = Tpm.Backend.Classic) (req : Protocol.batch_measure_request) =
+let batch_measurement_cost ~backend (req : Protocol.batch_measure_request) =
   let collects =
     List.fold_left
       (fun acc (_, requests_raw) ->

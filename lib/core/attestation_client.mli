@@ -21,25 +21,18 @@ val create :
 (** Fails on servers without a Trust Module.  Registers the network
     handler as a side effect. *)
 
-val address : t -> string
-val server : t -> Hypervisor.Server.t
-val kernel : t -> Monitors.Monitor_kernel.t
-val identity : t -> Net.Secure_channel.Identity.t
-
 val address_of : string -> string
 (** [address_of server_name] is the network address of that server's
     attestation client. *)
 
-val measurement_cost : ?backend:Tpm.Backend.kind -> Protocol.measure_request -> Sim.Time.t
+val measurement_cost : backend:Tpm.Backend.kind -> Protocol.measure_request -> Sim.Time.t
 (** Simulated server-side cost of serving a request: session key
     generation, per-measurement collection, quote signing.  [backend]
-    (default [Classic]) selects the per-backend keygen/sign terms. *)
+    selects the per-backend keygen/sign terms. *)
 
 val batch_measurement_cost :
-  ?backend:Tpm.Backend.kind -> Protocol.batch_measure_request -> Sim.Time.t
+  backend:Tpm.Backend.kind -> Protocol.batch_measure_request -> Sim.Time.t
 (** Simulated cost of a batched round: one session keygen + one root
     signature for the whole batch ({!Core.Costs.batch_quote_cost_for}), plus
     per-measurement collection.  The client answers batch requests on the
     same channel as single ones, distinguished by the wire magic. *)
-
-val requests_served : t -> int

@@ -1,13 +1,11 @@
 type error =
-  [ `Server_unreachable of string
-  | `Channel of Net.Secure_channel.error
+  [ `Channel of Net.Secure_channel.error
   | `Server_refused of string
   | `Verification of Protocol.verify_error
   | `Uncertified_key
   | `No_platform_root ]
 
 let pp_error ppf = function
-  | `Server_unreachable s -> Format.fprintf ppf "server %s unreachable" s
   | `Channel e -> Format.fprintf ppf "channel error: %a" Net.Secure_channel.pp_error e
   | `Server_refused why -> Format.fprintf ppf "server refused: %s" why
   | `Verification e -> Format.fprintf ppf "verification failed: %a" Protocol.pp_verify_error e
@@ -29,7 +27,7 @@ type t = {
   pca : Privacy_ca.t;
   identity : Net.Secure_channel.Identity.t;
   drbg : Crypto.Drbg.t;
-  mutable refs : Interpret.refs;
+  refs : Interpret.refs;
   mutable vm_image_lookup : string -> string option;
   channels : (string, Net.Secure_channel.Client.t) Hashtbl.t;
   (* Where cached channels charge wire time: rebound to the live ledger at
@@ -39,7 +37,6 @@ type t = {
   mutable history : history_entry list; (* newest first *)
   mutable count : int;
   mutable degraded : int;
-  mutable attest_attempts : int;
   mutable engine_now : unit -> Sim.Time.t;
   (* Verdict transparency log (lib/audit), opt-in.  When present, every
      signed verdict is appended and its inclusion receipt rides the service
@@ -70,7 +67,6 @@ let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-se
     history = [];
     count = 0;
     degraded = 0;
-    attest_attempts = 2;
     engine_now = (fun () -> 0);
     audit = None;
     receipts = [];
@@ -82,10 +78,8 @@ let name t = t.name
 let identity t = t.identity
 let public_key t = t.identity.Net.Secure_channel.Identity.keypair.public
 let refs t = t.refs
-let set_refs t refs = t.refs <- refs
 let set_vm_image_lookup t f = t.vm_image_lookup <- f
 let set_clock t f = t.engine_now <- f
-let set_attest_attempts t n = t.attest_attempts <- max 1 n
 let set_backend_lookup t f = t.backend_of <- f
 let set_platform_root t key = t.platform_root <- Some key
 
@@ -102,13 +96,7 @@ let enable_audit t =
       t.audit <- Some log;
       log
 
-let audit_log t = t.audit
-
 let no_such_host_prefix = "no such host"
-
-let is_no_such_host m =
-  String.length m >= String.length no_such_host_prefix
-  && String.equal (String.sub m 0 (String.length no_such_host_prefix)) no_such_host_prefix
 
 (* Availability failures — lost messages after all transport retries, or a
    sequence desync that even a channel reset could not cure — degrade to an
@@ -116,11 +104,16 @@ let is_no_such_host m =
    bad signatures, garbage replies) or a misconfigured fleet (no such
    host) stays a hard error: the paper's adversary must never be able to
    convert a detected attack into a mere "unknown". *)
+let channel_unavailable : Net.Secure_channel.error -> bool = function
+  | `Transport m -> not (String.starts_with ~prefix:no_such_host_prefix m)
+  | e -> Net.Secure_channel.desync e
+
 let availability_failure = function
-  | `Server_unreachable _ -> true
-  | `Channel (`Transport m) -> not (is_no_such_host m)
-  | `Channel e -> Net.Secure_channel.desync e
+  | `Channel e -> channel_unavailable e
   | `Server_refused _ | `Verification _ | `Uncertified_key | `No_platform_root -> false
+
+(* From-scratch rounds one appraisal may run before it degrades. *)
+let attest_attempts = 2
 
 let transport t ~dst msg =
   let result, elapsed = Net.Network.call_with_retry t.net ~src:t.name ~dst msg in
@@ -188,28 +181,79 @@ let sign_report t ~vid ~server ~property ~nonce ~ledger report =
       t.receipts <- receipt :: t.receipts);
   signed
 
-let stale_binding_status =
-  Report.Compromised "vtpm-stale-binding: restored vTPM state was not re-registered"
+let stale_binding_report t vid property =
+  {
+    Report.vid;
+    property;
+    status = Report.Compromised "vtpm-stale-binding: restored vTPM state was not re-registered";
+    evidence = "session-key endorsement carries a stale or outdated binding epoch";
+    produced_at = t.engine_now ();
+  }
 
-let stale_binding_evidence = "session-key endorsement carries a stale or outdated binding epoch"
+let interpret t ledger vid property values_raw =
+  Ledger.add ledger "interpret" Costs.interpret;
+  let values = Option.value ~default:[] (Monitors.Measurement.decode_values values_raw) in
+  let status, evidence =
+    Interpret.interpret t.refs ~image_name:(t.vm_image_lookup vid) property values
+  in
+  { Report.vid; property; status; evidence; produced_at = t.engine_now () }
 
-(* One measurement-collection round against the cloud server.  The trust
-   chain is checked per backend: classic and vTPM responses go through the
-   Privacy CA (the vTPM registry additionally enforcing the binding epoch),
-   CVM responses through the hardware vendor root.  A known-but-stale vTPM
-   binding is not an availability failure — it is the finding: the verdict
-   comes back [Compromised], signed and audited like any other. *)
-let attest_once t ~vid ~server ~property ~nonce ~requests_raw ledger =
+let verified check = Result.map_error (fun e -> `Verification e) check
+
+(* The trust gate, per backend and the same for both reply shapes: classic
+   and vTPM session keys are certified by the Privacy CA (the vTPM registry
+   additionally enforcing the binding epoch), CVM keys chain to the
+   hardware vendor root.  [envelope] is the shape's check against that
+   anchor, charged [verify_cost].  A known-but-stale vTPM binding is not an
+   availability failure — it is the finding: the caller turns it into a
+   signed, audited [Compromised] verdict. *)
+let trust_gate t ~backend ~n3 ~verify_cost ~envelope (s : Protocol.session) ledger =
+  let anchored anchor =
+    Ledger.add ledger "verify" verify_cost;
+    let* () = verified (envelope anchor) in
+    Ok `Verified
+  in
+  match backend with
+  | Tpm.Backend.Cvm_report -> (
+      match t.platform_root with
+      | None -> Error `No_platform_root
+      | Some root ->
+          Ledger.add ledger "cvm-chain-verify" Costs.cvm_chain_verify;
+          anchored (Protocol.Vendor_root root))
+  | Tpm.Backend.Classic | Tpm.Backend.Evtpm -> (
+      Ledger.add ledger "pca-certify" Costs.pca_certify;
+      match Crypto.Rsa.public_of_string s.Protocol.s_avk with
+      | None -> Error `Uncertified_key
+      | Some key -> (
+          let endorsement = s.Protocol.s_endorsement in
+          let certified =
+            if backend = Tpm.Backend.Evtpm then
+              Privacy_ca.certify_evtpm_key t.pca ~key ~endorsement
+            else
+              (Privacy_ca.certify_attestation_key t.pca ~key ~endorsement
+                :> (Net.Ca.cert, [ `Unknown_server | `Stale_binding ]) result)
+          in
+          match certified with
+          | Ok cert -> anchored (Protocol.Privacy_ca (Privacy_ca.public t.pca, cert))
+          | Error `Unknown_server -> Error `Uncertified_key
+          | Error `Stale_binding ->
+              Ledger.add ledger "verify" Costs.signature_verify;
+              let* () = verified (Protocol.verify_stale_session ~avk:key ~expected_nonce:n3 s) in
+              Ok `Stale_binding))
+
+(* One measurement round against the cloud server, in either shape: one
+   channel call under a fresh N3, one decode, one trust gate.  [request]
+   builds the shape's message and its server-side cost (key generation,
+   collection, signing); [decode] parses the reply; [session] and
+   [envelope] feed the gate. *)
+let measure t ~server ~request ~decode ~session ~verify_cost ~envelope ledger =
   let backend = t.backend_of server in
   let* channel = channel_to t ~server ledger in
   let n3 = Crypto.Drbg.nonce t.drbg in
-  let req = { Protocol.vid; requests_raw; nonce = n3 } in
-  (* Server-side simulated cost: key generation, collection, signing. *)
-  Ledger.add ledger "server-measure" (Attestation_client.measurement_cost ~backend req);
+  let cost, msg = request ~backend n3 in
+  Ledger.add ledger "server-measure" cost;
   let* raw =
-    match
-      Net.Secure_channel.Client.call_robust channel (Protocol.encode_measure_request req)
-    with
+    match Net.Secure_channel.Client.call_robust channel msg with
     | Ok raw -> Ok raw
     | Error e ->
         (* A channel that retries and resets could not fix is unusable. *)
@@ -217,335 +261,134 @@ let attest_once t ~vid ~server ~property ~nonce ~requests_raw ledger =
         Error (`Channel e)
   in
   let* body = parse_client_reply raw in
-  let* response =
-    match Protocol.decode_measure_response body with
-    | Some r -> Ok r
-    | None -> Error (`Server_refused "malformed measurement response")
-  in
+  let* response = decode body in
   let* gate =
-    match backend with
-    | Tpm.Backend.Classic ->
-        (* Certify the session key through the privacy CA, then verify. *)
-        Ledger.add ledger "pca-certify" Costs.pca_certify;
-        let* cert =
-          match Crypto.Rsa.public_of_string response.avk with
-          | None -> Error `Uncertified_key
-          | Some avk -> (
-              match
-                Privacy_ca.certify_attestation_key t.pca ~key:avk
-                  ~endorsement:response.endorsement
-              with
-              | Ok cert -> Ok cert
-              | Error `Unknown_server -> Error `Uncertified_key)
-        in
-        Ledger.add ledger "verify" Costs.signature_verify;
-        let* () =
-          Result.map_error
-            (fun e -> `Verification e)
-            (Protocol.verify_measure_response ~pca:(Privacy_ca.public t.pca) ~cert
-               ~expected_vid:vid ~expected_requests:requests_raw ~expected_nonce:n3 response)
-        in
-        Ok `Verified
-    | Tpm.Backend.Evtpm -> (
-        Ledger.add ledger "pca-certify" Costs.pca_certify;
-        match Crypto.Rsa.public_of_string response.avk with
-        | None -> Error `Uncertified_key
-        | Some avk -> (
-            match
-              Privacy_ca.certify_evtpm_key t.pca ~key:avk ~endorsement:response.endorsement
-            with
-            | Error `Unknown_server -> Error `Uncertified_key
-            | Error `Stale_binding ->
-                (* The endorsement authenticates the response as coming from
-                   a known vTPM — just one whose binding lapsed.  Check the
-                   session signature so a forger cannot ride the stale path,
-                   then let the verdict through. *)
-                Ledger.add ledger "verify" Costs.signature_verify;
-                if
-                  Crypto.Rsa.verify_memo avk ~signature:response.signature
-                    (Protocol.measure_response_payload response)
-                then Ok `Stale_binding
-                else Error (`Verification `Bad_signature)
-            | Ok cert ->
-                Ledger.add ledger "verify" Costs.signature_verify;
-                let* () =
-                  Result.map_error
-                    (fun e -> `Verification e)
-                    (Protocol.verify_measure_response ~pca:(Privacy_ca.public t.pca) ~cert
-                       ~expected_vid:vid ~expected_requests:requests_raw ~expected_nonce:n3
-                       response)
-                in
-                Ok `Verified))
-    | Tpm.Backend.Cvm_report -> (
-        match t.platform_root with
-        | None -> Error `No_platform_root
-        | Some root ->
-            Ledger.add ledger "cvm-chain-verify" Costs.cvm_chain_verify;
-            Ledger.add ledger "verify" Costs.signature_verify;
-            let* () =
-              Result.map_error
-                (fun e -> `Verification e)
-                (Protocol.verify_measure_response_cvm ~root ~expected_vid:vid
-                   ~expected_requests:requests_raw ~expected_nonce:n3 response)
-            in
-            Ok `Verified)
+    trust_gate t ~backend ~n3 ~verify_cost ~envelope:(envelope ~n3 response) (session response)
+      ledger
   in
-  match gate with
-  | `Stale_binding ->
-      Ok
-        {
-          Report.vid;
-          property;
-          status = stale_binding_status;
-          evidence = stale_binding_evidence;
-          produced_at = t.engine_now ();
-        }
-  | `Verified ->
-      (* Interpret. *)
-      Ledger.add ledger "interpret" Costs.interpret;
-      let values =
-        Option.value ~default:[] (Monitors.Measurement.decode_values response.values_raw)
-      in
-      let status, evidence =
-        Interpret.interpret t.refs ~image_name:(t.vm_image_lookup vid) property values
-      in
-      Ok { Report.vid; property; status; evidence; produced_at = t.engine_now () }
+  Ok (n3, response, gate)
 
-let attest t ~vid ~server ~property ~nonce =
+(* One appraisal, either shape: [round] measures the (vid, property) items
+   and returns each item's report or rejection, in item order; every report
+   is then signed individually.  Bounded re-attestation: a round lost to
+   the network is retried from scratch (fresh channel, fresh N3); when
+   every attempt is exhausted each verdict degrades to [Unknown] instead of
+   wedging the pipeline — the availability loss itself is the finding the
+   customer must see. *)
+let appraise t ~server ~items ~nonce round =
   let ledger = Ledger.create () in
   t.net_ledger := ledger;
   t.receipts <- [];
   Ledger.add ledger "db-lookup" Costs.db_lookup;
-  let requests = Interpret.requests_for t.refs property in
-  let requests_raw = Monitors.Measurement.encode_requests requests in
-  (* Bounded re-attestation: a round lost to the network is retried from
-     scratch (fresh channel, fresh N3); when every attempt is exhausted the
-     verdict degrades to [Unknown] instead of wedging the pipeline — the
-     availability loss itself is the finding the customer must see. *)
-  let rec go attempt =
-    match attest_once t ~vid ~server ~property ~nonce ~requests_raw ledger with
-    | Ok report -> Ok (sign_report t ~vid ~server ~property ~nonce ~ledger report)
-    | Error e when availability_failure e ->
-        Hashtbl.remove t.channels server;
-        if attempt < t.attest_attempts then go (attempt + 1)
-        else begin
-          t.degraded <- t.degraded + 1;
-          let reason =
-            Format.asprintf "attestation path unavailable after %d attempts: %a" attempt
-              pp_error e
-          in
-          let report =
-            {
-              Report.vid;
-              property;
-              status = Report.Unknown reason;
-              evidence = "no measurements collected";
-              produced_at = t.engine_now ();
-            }
-          in
-          Ok (sign_report t ~vid ~server ~property ~nonce ~ledger report)
-        end
-    | Error e -> Error e
-  in
-  (go 1, ledger)
-
-(* --- Batched appraisal ---------------------------------------------------- *)
-
-(* One measurement round for a whole batch: one channel call, one pCA
-   certification, one signature verification; then per report an
-   inclusion-proof walk, interpretation, and an individually signed
-   verdict.  A report whose proof fails is rejected alone — the rest of
-   the batch stands, because each verdict is bound to its own Q3 leaf
-   under the signed root, never to its neighbours. *)
-let attest_batch_once t ~server ~reqs ledger =
-  let backend = t.backend_of server in
-  let* channel = channel_to t ~server ledger in
-  let n3 = Crypto.Drbg.nonce t.drbg in
-  let bm =
-    {
-      Protocol.bm_items = List.map (fun (vid, _, requests_raw) -> (vid, requests_raw)) reqs;
-      bm_nonce = n3;
-    }
-  in
-  Ledger.add ledger "server-measure" (Attestation_client.batch_measurement_cost ~backend bm);
-  let* raw =
-    match
-      Net.Secure_channel.Client.call_robust channel (Protocol.encode_batch_measure_request bm)
-    with
-    | Ok raw -> Ok raw
-    | Error e ->
-        Hashtbl.remove t.channels server;
-        Error (`Channel e)
-  in
-  let* body = parse_client_reply raw in
-  let* response =
-    match Protocol.decode_batch_measure_response body with
-    | Some r -> Ok r
-    | None -> Error (`Server_refused "malformed batch measurement response")
-  in
-  if List.length response.Protocol.br_items <> List.length reqs then
-    Error (`Server_refused "batch reply does not match request")
-  else begin
-    (* Certify the single session key and verify the single root signature
-       — per backend, like the unbatched path.  A stale vTPM binding taints
-       the whole batch: every item came from the same restored module, so
-       every verdict is [Compromised]. *)
-    let* gate =
-      match backend with
-      | Tpm.Backend.Classic ->
-          Ledger.add ledger "pca-certify" Costs.pca_certify;
-          let* cert =
-            match Crypto.Rsa.public_of_string response.Protocol.br_avk with
-            | None -> Error `Uncertified_key
-            | Some avk -> (
-                match
-                  Privacy_ca.certify_attestation_key t.pca ~key:avk
-                    ~endorsement:response.Protocol.br_endorsement
-                with
-                | Ok cert -> Ok cert
-                | Error `Unknown_server -> Error `Uncertified_key)
-          in
-          Ledger.add ledger "verify" (Costs.batch_verify_cost ~batch:(List.length reqs));
-          let* () =
-            Result.map_error
-              (fun e -> `Verification e)
-              (Protocol.verify_batch_envelope ~pca:(Privacy_ca.public t.pca) ~cert
-                 ~expected_nonce:n3 response)
-          in
-          Ok `Verified
-      | Tpm.Backend.Evtpm -> (
-          Ledger.add ledger "pca-certify" Costs.pca_certify;
-          match Crypto.Rsa.public_of_string response.Protocol.br_avk with
-          | None -> Error `Uncertified_key
-          | Some avk -> (
-              match
-                Privacy_ca.certify_evtpm_key t.pca ~key:avk
-                  ~endorsement:response.Protocol.br_endorsement
-              with
-              | Error `Unknown_server -> Error `Uncertified_key
-              | Error `Stale_binding ->
-                  Ledger.add ledger "verify" Costs.signature_verify;
-                  if
-                    Crypto.Rsa.verify_memo avk ~signature:response.Protocol.br_signature
-                      (Tpm.Trust_module.batch_quote_payload
-                         ~root:response.Protocol.br_root ~nonce:response.Protocol.br_nonce)
-                    && String.equal response.Protocol.br_nonce n3
-                  then Ok `Stale_binding
-                  else Error (`Verification `Bad_signature)
-              | Ok cert ->
-                  Ledger.add ledger "verify" (Costs.batch_verify_cost ~batch:(List.length reqs));
-                  let* () =
-                    Result.map_error
-                      (fun e -> `Verification e)
-                      (Protocol.verify_batch_envelope ~pca:(Privacy_ca.public t.pca) ~cert
-                         ~expected_nonce:n3 response)
-                  in
-                  Ok `Verified))
-      | Tpm.Backend.Cvm_report -> (
-          match t.platform_root with
-          | None -> Error `No_platform_root
-          | Some root ->
-              Ledger.add ledger "cvm-chain-verify" Costs.cvm_chain_verify;
-              Ledger.add ledger "verify" (Costs.batch_verify_cost ~batch:(List.length reqs));
-              let* () =
-                Result.map_error
-                  (fun e -> `Verification e)
-                  (Protocol.verify_batch_envelope_cvm ~root ~expected_nonce:n3 response)
-              in
-              Ok `Verified)
-    in
-    match gate with
-    | `Stale_binding ->
-        Ok
-          (List.map
-             (fun (vid, property, _) ->
-               ( vid,
-                 property,
-                 Ok
-                   {
-                     Report.vid;
-                     property;
-                     status = stale_binding_status;
-                     evidence = stale_binding_evidence;
-                     produced_at = t.engine_now ();
-                   } ))
-             reqs)
-    | `Verified ->
-    let root = response.Protocol.br_root in
-    let appraise (vid, property, requests_raw) (item : Protocol.batch_item) =
-      let itemwise =
-        if not (String.equal item.Protocol.bi_vid vid) then Error (`Verification `Vid_mismatch)
-        else
-          Result.map_error
-            (fun e -> `Verification e)
-            (Protocol.verify_batch_item ~root ~nonce:n3 ~expected_requests:requests_raw item)
-      in
-      match itemwise with
-      | Error e -> (vid, property, Error e)
-      | Ok () ->
-          Ledger.add ledger "interpret" Costs.interpret;
-          let values =
-            Option.value ~default:[]
-              (Monitors.Measurement.decode_values item.Protocol.bi_values_raw)
-          in
-          let status, evidence =
-            Interpret.interpret t.refs ~image_name:(t.vm_image_lookup vid) property values
-          in
-          ( vid,
-            property,
-            Ok { Report.vid; property; status; evidence; produced_at = t.engine_now () } )
-    in
-    Ok (List.map2 appraise reqs response.Protocol.br_items)
-  end
-
-let attest_batch t ~server ~items ~nonce =
-  let ledger = Ledger.create () in
-  t.net_ledger := ledger;
-  t.receipts <- [];
-  Ledger.add ledger "db-lookup" Costs.db_lookup;
-  let reqs =
-    List.map
-      (fun (vid, property) ->
-        ( vid,
-          property,
-          Monitors.Measurement.encode_requests (Interpret.requests_for t.refs property) ))
-      items
-  in
-  let degraded_report vid property reason =
-    {
-      Report.vid;
-      property;
-      status = Report.Unknown reason;
-      evidence = "no measurements collected";
-      produced_at = t.engine_now ();
-    }
-  in
-  let sign (vid, property, itemwise) =
-    match itemwise with
-    | Ok report -> (vid, property, Ok (sign_report t ~vid ~server ~property ~nonce ~ledger report))
-    | Error e -> (vid, property, Error e)
+  let degraded reason (vid, property) =
+    Ok
+      {
+        Report.vid;
+        property;
+        status = Report.Unknown reason;
+        evidence = "no measurements collected";
+        produced_at = t.engine_now ();
+      }
   in
   let rec go attempt =
-    match attest_batch_once t ~server ~reqs ledger with
-    | Ok results -> Ok (List.map sign results)
+    match round ledger with
     | Error e when availability_failure e ->
         Hashtbl.remove t.channels server;
-        if attempt < t.attest_attempts then go (attempt + 1)
+        if attempt < attest_attempts then go (attempt + 1)
         else begin
           t.degraded <- t.degraded + List.length items;
           let reason =
             Format.asprintf "attestation path unavailable after %d attempts: %a" attempt
               pp_error e
           in
-          Ok
-            (List.map
-               (fun (vid, property, _) ->
-                 sign (vid, property, Ok (degraded_report vid property reason)))
-               reqs)
+          Ok (List.map (degraded reason) items)
         end
-    | Error e -> Error e
+    | result -> result
   in
-  (go 1, ledger)
+  let sign (vid, property) itemwise =
+    (vid, property, Result.map (sign_report t ~vid ~server ~property ~nonce ~ledger) itemwise)
+  in
+  (Result.map (List.map2 sign items) (go 1), ledger)
+
+let requests_raw t property =
+  Monitors.Measurement.encode_requests (Interpret.requests_for t.refs property)
+
+let attest t ~vid ~server ~property ~nonce =
+  let requests_raw = requests_raw t property in
+  let round ledger =
+    let* _, response, gate =
+      measure t ~server ledger
+        ~request:(fun ~backend n3 ->
+          let req = { Protocol.vid; requests_raw; nonce = n3 } in
+          (Attestation_client.measurement_cost ~backend req, Protocol.encode_measure_request req))
+        ~decode:(fun body ->
+          Option.to_result ~none:(`Server_refused "malformed measurement response")
+            (Protocol.decode_measure_response body))
+        ~session:Protocol.measure_session ~verify_cost:Costs.signature_verify
+        ~envelope:(fun ~n3 response anchor ->
+          Protocol.verify_measure_response ~anchor ~expected_vid:vid
+            ~expected_requests:requests_raw ~expected_nonce:n3 response)
+    in
+    let report =
+      match gate with
+      | `Stale_binding -> stale_binding_report t vid property
+      | `Verified -> interpret t ledger vid property response.Protocol.values_raw
+    in
+    Ok [ Ok report ]
+  in
+  let result, ledger = appraise t ~server ~items:[ (vid, property) ] ~nonce round in
+  (Result.bind result (fun signed -> let _, _, report = List.hd signed in report), ledger)
+
+(* One measurement round for a whole batch: one channel call, one trust
+   gate (one certification, one signature verification); then per report
+   an inclusion-proof walk, interpretation, and an individually signed
+   verdict.  A report whose proof fails is rejected alone — the rest of the
+   batch stands, because each verdict is bound to its own Q3 leaf under the
+   signed root, never to its neighbours.  A stale vTPM binding taints the
+   whole batch: every item came from the same restored module, so every
+   verdict is [Compromised]. *)
+let attest_batch t ~server ~items ~nonce =
+  let reqs = List.map (fun (vid, property) -> (vid, property, requests_raw t property)) items in
+  let round ledger =
+    let* n3, response, gate =
+      measure t ~server ledger
+        ~request:(fun ~backend n3 ->
+          let bm =
+            {
+              Protocol.bm_items =
+                List.map (fun (vid, _, requests_raw) -> (vid, requests_raw)) reqs;
+              bm_nonce = n3;
+            }
+          in
+          ( Attestation_client.batch_measurement_cost ~backend bm,
+            Protocol.encode_batch_measure_request bm ))
+        ~decode:(fun body ->
+          match Protocol.decode_batch_measure_response body with
+          | None -> Error (`Server_refused "malformed batch measurement response")
+          | Some r when List.length r.Protocol.br_items <> List.length reqs ->
+              Error (`Server_refused "batch reply does not match request")
+          | Some r -> Ok r)
+        ~session:Protocol.batch_session
+        ~verify_cost:(Costs.batch_verify_cost ~batch:(List.length reqs))
+        ~envelope:(fun ~n3 response anchor ->
+          Protocol.verify_batch_envelope ~anchor ~expected_nonce:n3 response)
+    in
+    let root = response.Protocol.br_root in
+    let appraise_item (vid, property, requests_raw) (item : Protocol.batch_item) =
+      match gate with
+      | `Stale_binding -> Ok (stale_binding_report t vid property)
+      | `Verified ->
+          if not (String.equal item.Protocol.bi_vid vid) then Error (`Verification `Vid_mismatch)
+          else
+            let* () =
+              verified
+                (Protocol.verify_batch_item ~root ~nonce:n3 ~expected_requests:requests_raw item)
+            in
+            Ok (interpret t ledger vid property item.Protocol.bi_values_raw)
+    in
+    Ok (List.map2 appraise_item reqs response.Protocol.br_items)
+  in
+  appraise t ~server ~items ~nonce round
 
 let history t = List.rev t.history
 let attestations_done t = t.count
@@ -553,98 +396,55 @@ let degraded_count t = t.degraded
 
 (* --- Network service ------------------------------------------------------ *)
 
-(* Replies keep the exact pre-audit byte layout when no receipts are
-   attached; with auditing on, the receipts ride as a trailing block the
-   decoder recognizes by the bytes remaining after the ledger list. *)
-let encode_service_reply ?(receipts = []) result ledger =
+(* Both reply shapes: tag 1, the shape's body, the AS cost ledger (so the
+   controller can account end-to-end time) and, from an auditing AS only, a
+   trailing receipt block the decoder recognizes by the bytes remaining
+   after the ledger — without it the bytes are exactly the pre-audit
+   format; or tag 0 and the refusal. *)
+let encode_error e err =
+  Wire.Codec.Enc.u8 e 0;
+  Wire.Codec.Enc.str e (Format.asprintf "%a" pp_error err)
+
+let encode_reply ~body ~trailer result ledger =
   Wire.Codec.encode (fun e ->
       match result with
-      | Ok report ->
+      | Ok x ->
           Wire.Codec.Enc.u8 e 1;
-          Wire.Codec.Enc.str e (Protocol.encode_as_report report);
+          body e x;
           Wire.Codec.Enc.list e
             (fun (label, cost) ->
               Wire.Codec.Enc.str e label;
               Wire.Codec.Enc.int e cost)
             (Ledger.entries ledger);
-          (match receipts with
-          | [] -> ()
-          | receipt :: _ -> Audit.Receipt.encode e receipt)
-      | Error err ->
-          Wire.Codec.Enc.u8 e 0;
-          Wire.Codec.Enc.str e (Format.asprintf "%a" pp_error err))
+          Option.iter (fun encode -> encode e) trailer
+      | Error err -> encode_error e err)
 
-(* A batch reply carries one tag+payload per requested item (in request
-   order), so a rejected report travels next to its accepted siblings. *)
-let encode_batch_service_reply ?(receipts = []) result ledger =
-  Wire.Codec.encode (fun e ->
-      match result with
-      | Ok items ->
-          Wire.Codec.Enc.u8 e 1;
-          Wire.Codec.Enc.list e
-            (fun (_, _, itemwise) ->
-              match itemwise with
-              | Ok report ->
-                  Wire.Codec.Enc.u8 e 1;
-                  Wire.Codec.Enc.str e (Protocol.encode_as_report report)
-              | Error err ->
-                  Wire.Codec.Enc.u8 e 0;
-                  Wire.Codec.Enc.str e (Format.asprintf "%a" pp_error err))
-            items;
-          Wire.Codec.Enc.list e
-            (fun (label, cost) ->
-              Wire.Codec.Enc.str e label;
-              Wire.Codec.Enc.int e cost)
-            (Ledger.entries ledger);
-          (match receipts with
-          | [] -> ()
-          | _ -> Wire.Codec.Enc.list e (Audit.Receipt.encode e) receipts)
-      | Error err ->
-          Wire.Codec.Enc.u8 e 0;
-          Wire.Codec.Enc.str e (Format.asprintf "%a" pp_error err))
-
-let decode_batch_service_reply raw =
+let decode_reply ~body ~trailer raw =
   match
     Wire.Codec.decode_opt raw (fun d ->
         match Wire.Codec.Dec.u8 d with
         | 1 ->
-            let items =
-              Wire.Codec.Dec.list d (fun d ->
-                  match Wire.Codec.Dec.u8 d with
-                  | 1 -> `Report (Wire.Codec.Dec.str d)
-                  | 0 -> `Rejected (Wire.Codec.Dec.str d)
-                  | _ -> raise (Wire.Codec.Error "bad batch item tag"))
-            in
+            let x = body d in
             let entries =
               Wire.Codec.Dec.list d (fun d ->
                   let label = Wire.Codec.Dec.str d in
                   let cost = Wire.Codec.Dec.int d in
                   (label, cost))
             in
-            (* Auditing AS: receipts (one per accepted report) trail the
-               ledger; their absence is the pre-audit byte format. *)
-            let receipts =
-              if Wire.Codec.Dec.remaining d > 0 then
-                Wire.Codec.Dec.list d Audit.Receipt.decode
-              else []
-            in
-            `Ok (items, entries, receipts)
+            `Ok (x, entries, if Wire.Codec.Dec.remaining d > 0 then Some (trailer d) else None)
         | 0 -> `Err (Wire.Codec.Dec.str d)
         | _ -> raise (Wire.Codec.Error "bad reply tag"))
   with
-  | Some (`Ok (items, entries, receipts)) ->
-      let rec all acc = function
-        | [] -> Ok (List.rev acc, entries, receipts)
-        | `Rejected why :: rest -> all (Error why :: acc) rest
-        | `Report raw :: rest -> (
-            match Protocol.decode_as_report raw with
-            | Some report -> all (Ok report :: acc) rest
-            | None -> Error "malformed report in batch AS reply")
-      in
-      all [] items
+  | Some (`Ok x) -> Ok x
   | Some (`Err why) -> Error why
   | None -> Error "malformed AS reply"
 
+let encode_as_report e report = Wire.Codec.Enc.str e (Protocol.encode_as_report report)
+
+(* A single reply carries its verdict's receipt; a batch reply one
+   tag+payload per requested item (in request order), so a rejected report
+   travels next to its accepted siblings, and one receipt per accepted
+   report. *)
 let request_handler t ~peer:_ plaintext =
   match Protocol.decode_batch_as_request plaintext with
   | Some breq ->
@@ -652,40 +452,60 @@ let request_handler t ~peer:_ plaintext =
         attest_batch t ~server:breq.Protocol.ba_server ~items:breq.Protocol.ba_items
           ~nonce:breq.Protocol.ba_nonce
       in
-      encode_batch_service_reply ~receipts:(List.rev t.receipts) result ledger
-  | None -> (
-      match Protocol.decode_as_request plaintext with
-      | None ->
-          encode_service_reply (Error (`Server_refused "malformed request")) (Ledger.create ())
-      | Some req ->
-          let result, ledger =
+      let trailer =
+        match List.rev t.receipts with
+        | [] -> None
+        | receipts -> Some (fun e -> Wire.Codec.Enc.list e (Audit.Receipt.encode e) receipts)
+      in
+      encode_reply result ledger ~trailer
+        ~body:(fun e ->
+          Wire.Codec.Enc.list e (fun (_, _, itemwise) ->
+              match itemwise with
+              | Ok report ->
+                  Wire.Codec.Enc.u8 e 1;
+                  encode_as_report e report
+              | Error err -> encode_error e err))
+  | None ->
+      let result, ledger =
+        match Protocol.decode_as_request plaintext with
+        | None -> (Error (`Server_refused "malformed request"), Ledger.create ())
+        | Some req ->
             attest t ~vid:req.Protocol.vid ~server:req.Protocol.server
               ~property:req.Protocol.property ~nonce:req.Protocol.nonce
-          in
-          encode_service_reply ~receipts:(List.rev t.receipts) result ledger)
+      in
+      let trailer =
+        match List.rev t.receipts with
+        | [] -> None
+        | receipt :: _ -> Some (fun e -> Audit.Receipt.encode e receipt)
+      in
+      encode_reply result ledger ~body:encode_as_report ~trailer
+
+let decode_as_report ~none raw = Option.to_result ~none (Protocol.decode_as_report raw)
 
 let decode_service_reply raw =
-  match
-    Wire.Codec.decode_opt raw (fun d ->
-        match Wire.Codec.Dec.u8 d with
-        | 1 ->
-            let report_raw = Wire.Codec.Dec.str d in
-            let entries =
-              Wire.Codec.Dec.list d (fun d ->
-                  let label = Wire.Codec.Dec.str d in
-                  let cost = Wire.Codec.Dec.int d in
-                  (label, cost))
-            in
-            let receipt =
-              if Wire.Codec.Dec.remaining d > 0 then Some (Audit.Receipt.decode d) else None
-            in
-            `Ok (report_raw, entries, receipt)
-        | 0 -> `Err (Wire.Codec.Dec.str d)
-        | _ -> raise (Wire.Codec.Error "bad reply tag"))
-  with
-  | Some (`Ok (report_raw, entries, receipt)) -> (
-      match Protocol.decode_as_report report_raw with
-      | Some report -> Ok (report, entries, receipt)
-      | None -> Error "malformed report in AS reply")
-  | Some (`Err why) -> Error why
-  | None -> Error "malformed AS reply"
+  Result.bind
+    (decode_reply raw ~body:Wire.Codec.Dec.str ~trailer:Audit.Receipt.decode)
+    (fun (report_raw, entries, receipt) ->
+      Result.map
+        (fun report -> (report, entries, receipt))
+        (decode_as_report ~none:"malformed report in AS reply" report_raw))
+
+let decode_batch_service_reply raw =
+  Result.bind
+    (decode_reply raw
+       ~body:(fun d ->
+         Wire.Codec.Dec.list d (fun d ->
+             match Wire.Codec.Dec.u8 d with
+             | 1 -> Ok (Wire.Codec.Dec.str d)
+             | 0 -> Error (Wire.Codec.Dec.str d)
+             | _ -> raise (Wire.Codec.Error "bad batch item tag")))
+       ~trailer:(fun d -> Wire.Codec.Dec.list d Audit.Receipt.decode))
+    (fun (items, entries, receipts) ->
+      let rec all acc = function
+        | [] -> Ok (List.rev acc, entries, Option.value ~default:[] receipts)
+        | Error why :: rest -> all (Error why :: acc) rest
+        | Ok raw :: rest ->
+            Result.bind (decode_as_report ~none:"malformed report in batch AS reply" raw)
+              (fun report -> all (Ok report :: acc) rest)
+      in
+      all [] items)

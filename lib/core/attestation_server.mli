@@ -14,8 +14,7 @@
 type t
 
 type error =
-  [ `Server_unreachable of string
-  | `Channel of Net.Secure_channel.error
+  [ `Channel of Net.Secure_channel.error
   | `Server_refused of string
   | `Verification of Protocol.verify_error
   | `Uncertified_key
@@ -41,7 +40,13 @@ val name : t -> string
 val identity : t -> Net.Secure_channel.Identity.t
 val public_key : t -> Crypto.Rsa.public
 val refs : t -> Interpret.refs
-val set_refs : t -> Interpret.refs -> unit
+
+val channel_unavailable : Net.Secure_channel.error -> bool
+(** Whether a secure-channel failure is availability-shaped — messages lost
+    after every transport retry (but not an unknown host), or a sequence
+    desync a reset could not cure — and so may degrade a verdict to
+    [Unknown].  Every other failure stays a hard error.  The controller's
+    hop to the AS applies the same split. *)
 
 val set_vm_image_lookup : t -> (string -> string option) -> unit
 (** How the interpreter resolves Vid -> image name (reads the controller's
@@ -51,19 +56,16 @@ val set_clock : t -> (unit -> Sim.Time.t) -> unit
 (** Wire the simulation clock in (done by {!Cloud}); reports carry the
     production time. *)
 
-val set_attest_attempts : t -> int -> unit
-(** How many from-scratch attestation rounds {!attest} may run before it
-    degrades the verdict to [Unknown] (clamped to at least 1; default 2). *)
-
 val set_backend_lookup : t -> (string -> Tpm.Backend.kind) -> unit
 (** Which trust backend each cloud server runs, keyed by server name
     (wired by {!Cloud} from the controller's database).  Defaults to
-    [Classic] everywhere.  The lookup selects the verification path:
-    classic and vTPM endorsements go through the Privacy CA — the vTPM
-    registry additionally enforcing the binding epoch, so a
-    restored-but-not-rebound module yields a signed [Compromised] verdict
-    rather than a certificate — and CVM report chains are checked against
-    the hardware vendor root alone. *)
+    [Classic] everywhere.  The lookup selects the trust anchor of the one
+    trust gate both {!attest} and {!attest_batch} pass through: classic and
+    vTPM endorsements go through the Privacy CA — the vTPM registry
+    additionally enforcing the binding epoch, so a restored-but-not-rebound
+    module yields a signed [Compromised] verdict rather than a certificate,
+    once its session signature and N3 echo check out — and CVM report
+    chains are checked against the hardware vendor root alone. *)
 
 val set_platform_root : t -> Crypto.Rsa.public -> unit
 (** The hardware vendor's root verification key, required before any
@@ -77,8 +79,6 @@ val enable_audit : t -> Audit.Log.t
     default; when off, replies are byte-identical to the pre-audit
     format. *)
 
-val audit_log : t -> Audit.Log.t option
-
 val attest :
   t ->
   vid:string ->
@@ -89,15 +89,20 @@ val attest :
 (** One full measurement-collection + interpretation round.  The nonce is
     the controller's N2, echoed in the signed report.
 
+    {!attest} and {!attest_batch} are one appraisal round that differs only
+    in its wire format: the same trust gate (per backend, see
+    {!set_backend_lookup}), the same retry loop and the same signing.
+
     Rides the fault-tolerance stack: messages go through
     {!Net.Network.call_with_retry}, records through
     {!Net.Secure_channel.Client.call_robust}, and if the attestation path
-    is still unavailable after the configured rounds (all transport retries
-    exhausted, or an uncurable sequence desync) the call returns [Ok] of a
-    signed report with status [Report.Unknown reason] rather than raising or
-    hanging.  Failures that look like an active attack — authentication or
-    verification failures, malformed replies, unknown hosts — never degrade
-    and stay hard errors. *)
+    is still unavailable after two from-scratch rounds (all transport
+    retries exhausted, or an uncurable sequence desync) the call returns
+    [Ok] of a signed report with status [Report.Unknown reason] rather than
+    raising or hanging.  Failures that look like an active attack —
+    authentication or verification failures, malformed replies, unknown
+    hosts, a CVM host with no vendor root ([`No_platform_root]) — never
+    degrade and stay hard errors. *)
 
 val attest_batch :
   t ->
@@ -113,8 +118,10 @@ val attest_batch :
     report, verified once; each report is then checked against its own
     O(log n) inclusion proof and gets an {e individual} signed verdict.
     A report whose proof fails is rejected alone ([Error] in its slot)
-    while the rest of the batch stands.  Batch-wide availability failures
-    degrade every item to a signed [Unknown], like {!attest}. *)
+    while the rest of the batch stands.  A restored, not re-registered
+    e-vTPM makes every item a signed [Compromised] stale-binding verdict.
+    Batch-wide availability failures degrade every item to a signed
+    [Unknown], like {!attest}; batch-wide hard errors fail the call. *)
 
 (** {2 Introspection for tests and benches} *)
 

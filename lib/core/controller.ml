@@ -45,7 +45,7 @@ type t = {
   as_channels : (int, Net.Secure_channel.Client.t) Hashtbl.t;
   (* Live ledger for cached-channel wire time (rebound per [attest]). *)
   as_ledger : Ledger.t ref;
-  mutable cluster_of : string -> int;  (* host -> AS index *)
+  cluster_of : string -> int;  (* host -> AS index *)
   cache : Verdict_cache.t;  (* healthy verdicts, TTL-bounded; 0 = off *)
   hypervisors : (string, Hypervisor.Server.t) Hashtbl.t;
   images : (string, Hypervisor.Image.t) Hashtbl.t;
@@ -53,7 +53,6 @@ type t = {
   subscribers : (string, Protocol.controller_report -> unit) Hashtbl.t;
   periodic : (string * string, bool ref) Hashtbl.t; (* (vid, property) -> stop flag *)
   mutable response_policy : Report.t -> response_strategy option;
-  mutable attest_attempts : int;
   mutable batching : bool;  (* Merkle-batched AS rounds in [attest_many]; off by default *)
   mutable auditing : bool;  (* require + verify AS inclusion receipts; off by default *)
   mutable auditor : Audit.Auditor.t option;  (* STH sink fed by verified receipts *)
@@ -161,20 +160,11 @@ let as_channel t ~idx ledger =
 
 let ( let* ) = Result.bind
 
-let is_no_such_host m =
-  String.length m >= 12 && String.equal (String.sub m 0 12) "no such host"
-
-(* Same split as in [Attestation_server]: only failures the lossy network
-   can cause degrade to [Unknown]; anything forgery- or config-shaped stays
-   a hard error. *)
-let channel_availability (e : Net.Secure_channel.error) =
-  match e with
-  | `Transport m -> not (is_no_such_host m)
-  | e -> Net.Secure_channel.desync e
-
+(* Only failures the lossy network can cause degrade to [Unknown]; anything
+   forgery- or config-shaped stays a hard error. *)
 let classify_channel what e =
   let msg = Format.asprintf "%s: %a" what Net.Secure_channel.pp_error e in
-  if channel_availability e then `Avail msg else `Hard msg
+  if Attestation_server.channel_unavailable e then `Avail msg else `Hard msg
 
 let sign_controller_report t (req : Protocol.attest_request) ledger report =
   Ledger.add ledger "report-sign" Costs.report_sign;
@@ -202,64 +192,49 @@ let sign_controller_report t (req : Protocol.attest_request) ledger report =
    [Unknown] the way availability failures do. *)
 let audit_check t ~idx (as_report : Protocol.as_report) receipt ledger =
   if not t.auditing then Ok ()
-  else begin
+  else
     match receipt with
-    | None -> Error (`Hard "audit receipt missing from AS reply")
+    | None -> Error "audit receipt missing from AS reply"
     | Some (r : Audit.Receipt.t) ->
         Ledger.add ledger "audit-receipt-verify"
           (Costs.audit_receipt_verify ~size:r.Audit.Receipt.sth.Audit.Sth.size);
         let key = snd t.attestation_servers.(idx) in
-        if
-          not
-            (Audit.Receipt.verify ~key ~entry:(Protocol.encode_as_report as_report) r)
-        then Error (`Hard "audit inclusion receipt rejected")
+        if not (Audit.Receipt.verify ~key ~entry:(Protocol.encode_as_report as_report) r) then
+          Error "audit inclusion receipt rejected"
         else begin
-          (match t.auditor with
-          | Some auditor -> Audit.Auditor.note auditor r.Audit.Receipt.sth
-          | None -> ());
+          Option.iter (fun auditor -> Audit.Auditor.note auditor r.Audit.Receipt.sth) t.auditor;
           Ok ()
         end
-  end
 
-(* One controller -> AS -> cloud server round.  Errors carry whether they
-   are availability-shaped ([`Avail]) and thus eligible for degradation. *)
-let attest_once t (req : Protocol.attest_request) ledger =
-  Ledger.add ledger "db-lookup" Costs.db_lookup;
-  let* record =
-    match Database.vm t.db req.vid with
-    | Some r -> Ok r
-    | None -> Error (`Hard ("unknown VM " ^ req.vid))
-  in
-  let* host =
-    match record.Database.host with
-    | Some h -> Ok h
-    | None -> Error (`Hard ("VM " ^ req.vid ^ " is not running on any host"))
-  in
-  let idx = as_index t ~host in
+(* One controller -> AS exchange under a fresh N2, either shape: [encode]
+   builds the request around N2 and [decode] splits the reply into its
+   payload, the AS's cost ledger (charged here under "as:") and its audit
+   receipts.  Errors carry whether they are availability-shaped ([`Avail])
+   and thus eligible for degradation. *)
+let as_call t ~idx ~encode ~decode ledger =
   let* channel =
     Result.map_error (classify_channel "AS channel") (as_channel t ~idx ledger)
   in
   let n2 = Crypto.Drbg.nonce t.drbg in
-  let as_req =
-    { Protocol.vid = req.vid; server = host; property = req.property; nonce = n2 }
-  in
   let* raw =
-    match
-      Net.Secure_channel.Client.call_robust channel (Protocol.encode_as_request as_req)
-    with
+    match Net.Secure_channel.Client.call_robust channel (encode n2) with
     | Ok raw -> Ok raw
     | Error e ->
         Hashtbl.remove t.as_channels idx;
         Error (classify_channel "AS call" e)
   in
-  let* as_report, as_costs, receipt =
-    Result.map_error (fun e -> `Hard e) (Attestation_server.decode_service_reply raw)
-  in
+  let* reply, as_costs, receipts = Result.map_error (fun e -> `Hard e) (decode raw) in
   List.iter (fun (label, cost) -> Ledger.add ledger ("as:" ^ label) cost) as_costs;
+  Ok (n2, reply, receipts)
+
+(* Accept one AS report: its signature and Q2 verify under the cluster's
+   VKa against the outstanding N2, its audit receipt checks out, and the
+   controller re-signs the verdict under the customer's N1. *)
+let accept t ~idx ~host ~n2 ledger (req : Protocol.attest_request) as_report receipt =
   Ledger.add ledger "verify" Costs.signature_verify;
   let* () =
     Result.map_error
-      (fun e -> `Hard (Format.asprintf "AS report rejected: %a" Protocol.pp_verify_error e))
+      (fun e -> Format.asprintf "AS report rejected: %a" Protocol.pp_verify_error e)
       (Protocol.verify_as_report
          ~key:(snd t.attestation_servers.(idx))
          ~expected_vid:req.vid ~expected_server:host ~expected_property:req.property
@@ -276,10 +251,69 @@ let cache_bookkeep t ~vid ~property (report : Report.t) =
   | Report.Compromised _ | Report.Unknown _ ->
       ignore (Verdict_cache.invalidate t.cache ~vid ~property : bool)
 
-(* The attest_service path: controller -> AS -> cloud server and back.
-   Bounded re-attestation with degradation to a signed [Unknown] verdict
-   when the path to the AS stays unavailable — the caller always gets an
-   answer within the retry budget instead of an opaque transport error. *)
+(* From-scratch rounds one attestation may run before it degrades. *)
+let attest_attempts = 2
+
+(* Bounded re-attestation, either shape: [round] answers every request (in
+   order) or fails as a whole.  While the path to the AS stays unavailable
+   it is retried from scratch; once every attempt is spent each request
+   degrades to a signed [Unknown] verdict, so the caller always gets an
+   answer within the retry budget instead of an opaque transport error.
+   Hard failures answer every request with the error.  Every verdict feeds
+   the cache. *)
+let with_retries t ~what ledger (reqs : Protocol.attest_request list) round =
+  let degraded reason (req : Protocol.attest_request) =
+    Ok
+      (sign_controller_report t req ledger
+         {
+           Report.vid = req.vid;
+           property = req.property;
+           status = Report.Unknown reason;
+           evidence = "no attestation-server report";
+           produced_at = Sim.Engine.now t.engine;
+         })
+  in
+  let rec go attempt =
+    match round () with
+    | Ok results -> results
+    | Error (`Avail msg) when attempt < attest_attempts -> go (attempt + 1)
+    | Error (`Avail msg) ->
+        log t "%s degraded to unknown: %s" what msg;
+        let reason =
+          Printf.sprintf "attestation server unreachable after %d attempts: %s" attempt msg
+        in
+        List.map (degraded reason) reqs
+    | Error (`Hard msg) -> List.map (fun _ -> Error msg) reqs
+  in
+  List.map2
+    (fun (req : Protocol.attest_request) result ->
+      Result.map
+        (fun (creport : Protocol.controller_report) ->
+          cache_bookkeep t ~vid:req.vid ~property:req.property creport.Protocol.report;
+          creport)
+        result)
+    reqs (go 1)
+
+(* One controller -> AS -> cloud server round for a single report. *)
+let attest_round t (req : Protocol.attest_request) ledger () =
+  Ledger.add ledger "db-lookup" Costs.db_lookup;
+  let* host =
+    match Database.vm t.db req.vid with
+    | None -> Error (`Hard ("unknown VM " ^ req.vid))
+    | Some { Database.host = None; _ } ->
+        Error (`Hard ("VM " ^ req.vid ^ " is not running on any host"))
+    | Some { Database.host = Some host; _ } -> Ok host
+  in
+  let idx = as_index t ~host in
+  let* n2, as_report, receipt =
+    as_call t ~idx ledger ~decode:Attestation_server.decode_service_reply
+      ~encode:(fun nonce ->
+        Protocol.encode_as_request
+          { Protocol.vid = req.vid; server = host; property = req.property; nonce })
+  in
+  Ok [ accept t ~idx ~host ~n2 ledger req as_report receipt ]
+
+(* The attest_service path: controller -> AS -> cloud server and back. *)
 let attest t (req : Protocol.attest_request) =
   let ledger = Ledger.create () in
   t.as_ledger := ledger;
@@ -292,35 +326,11 @@ let attest t (req : Protocol.attest_request) =
       Ledger.add ledger "db-lookup" Costs.db_lookup;
       (Ok (sign_controller_report t req ledger cached), ledger)
   | None ->
-  let bookkeep (creport : Protocol.controller_report) =
-    cache_bookkeep t ~vid:req.vid ~property:req.property creport.Protocol.report;
-    creport
-  in
-  let rec go attempt =
-    match attest_once t req ledger with
-    | Ok creport -> Ok (bookkeep creport)
-    | Error (`Avail msg) ->
-        if attempt < t.attest_attempts then go (attempt + 1)
-        else begin
-          log t "attestation of %s degraded to unknown: %s" req.vid msg;
-          let reason =
-            Printf.sprintf "attestation server unreachable after %d attempts: %s" attempt
-              msg
-          in
-          let report =
-            {
-              Report.vid = req.vid;
-              property = req.property;
-              status = Report.Unknown reason;
-              evidence = "no attestation-server report";
-              produced_at = Sim.Engine.now t.engine;
-            }
-          in
-          Ok (bookkeep (sign_controller_report t req ledger report))
-        end
-    | Error (`Hard msg) -> Error msg
-  in
-  (go 1, ledger)
+      let results =
+        with_retries t ~what:("attestation of " ^ req.vid) ledger [ req ]
+          (attest_round t req ledger)
+      in
+      (List.hd results, ledger)
 
 (* --- Cluster routing (protocol-term delegation) -------------------------- *)
 
@@ -353,99 +363,41 @@ let attest_routed t ~cluster (req : Protocol.attest_request) =
 
 (* One controller -> AS round covering a whole group of requests that share
    a host (and therefore an AS cluster).  The AS answers with individually
-   signed reports derived from ONE Merkle-aggregated Trust-Module quote. *)
-let attest_group_once t ~idx ~host items ledger =
-  let* channel =
-    Result.map_error (classify_channel "AS channel") (as_channel t ~idx ledger)
+   signed reports derived from ONE Merkle-aggregated Trust-Module quote, so
+   the controller's per-report acceptance is unchanged by batching.  With
+   auditing on, receipts pair with the [Ok] reports in reply order. *)
+let group_round t ~idx ~host (reqs : Protocol.attest_request list) ledger () =
+  let items = List.map (fun (r : Protocol.attest_request) -> (r.vid, r.property)) reqs in
+  let* n2, per_item, receipts =
+    as_call t ~idx ledger
+      ~encode:(fun n2 ->
+        Protocol.encode_batch_as_request
+          { Protocol.ba_server = host; ba_items = items; ba_nonce = n2 })
+      ~decode:(fun raw ->
+        match Attestation_server.decode_batch_service_reply raw with
+        | Ok (per_item, _, _) when List.length per_item <> List.length items ->
+            Error "batch AS reply does not match request"
+        | reply -> reply)
   in
-  let n2 = Crypto.Drbg.nonce t.drbg in
-  let ba = { Protocol.ba_server = host; ba_items = items; ba_nonce = n2 } in
-  let* raw =
-    match
-      Net.Secure_channel.Client.call_robust channel (Protocol.encode_batch_as_request ba)
-    with
-    | Ok raw -> Ok raw
-    | Error e ->
-        Hashtbl.remove t.as_channels idx;
-        Error (classify_channel "AS call" e)
+  let receipts = ref receipts in
+  let next_receipt () =
+    match !receipts with
+    | r :: rest ->
+        receipts := rest;
+        Some r
+    | [] -> None
   in
-  let* per_item, as_costs, receipts =
-    Result.map_error (fun e -> `Hard e) (Attestation_server.decode_batch_service_reply raw)
-  in
-  if List.length per_item <> List.length items then
-    Error (`Hard "batch AS reply does not match request")
-  else begin
-    List.iter (fun (label, cost) -> Ledger.add ledger ("as:" ^ label) cost) as_costs;
-    Ok (n2, per_item, receipts)
-  end
+  Ok
+    (List.map2
+       (fun req item ->
+         match item with
+         | Error why -> Error ("AS rejected report: " ^ why)
+         | Ok as_report -> accept t ~idx ~host ~n2 ledger req as_report (next_receipt ()))
+       reqs per_item)
 
-let attest_group t ~host (reqs : Protocol.attest_request list) ledger =
-  let idx = as_index t ~host in
-  let items = List.map (fun (r : Protocol.attest_request) -> (r.Protocol.vid, r.Protocol.property)) reqs in
-  let finish (req : Protocol.attest_request) creport =
-    cache_bookkeep t ~vid:req.Protocol.vid ~property:req.Protocol.property
-      creport.Protocol.report;
-    creport
-  in
-  (* Each report in the batch reply still carries its own AS signature, so
-     the controller's per-report verification is unchanged by batching.
-     With auditing on, receipts pair with the [Ok] reports in reply order
-     and each is verified before its verdict is accepted. *)
-  let appraise n2 receipts (req : Protocol.attest_request) item =
-    match item with
-    | Error why -> Error ("AS rejected report: " ^ why)
-    | Ok (as_report : Protocol.as_report) -> (
-        let receipt =
-          match !receipts with
-          | r :: rest ->
-              receipts := rest;
-              Some r
-          | [] -> None
-        in
-        Ledger.add ledger "verify" Costs.signature_verify;
-        match
-          Protocol.verify_as_report
-            ~key:(snd t.attestation_servers.(idx))
-            ~expected_vid:req.Protocol.vid ~expected_server:host
-            ~expected_property:req.Protocol.property ~expected_nonce:n2 as_report
-        with
-        | Error e ->
-            Error (Format.asprintf "AS report rejected: %a" Protocol.pp_verify_error e)
-        | Ok () -> (
-            match audit_check t ~idx as_report receipt ledger with
-            | Error (`Hard msg) -> Error msg
-            | Ok () ->
-                Ok
-                  (finish req (sign_controller_report t req ledger as_report.Protocol.report))))
-  in
-  let degraded msg (req : Protocol.attest_request) =
-    let reason =
-      Printf.sprintf "attestation server unreachable after %d attempts: %s"
-        t.attest_attempts msg
-    in
-    let report =
-      {
-        Report.vid = req.Protocol.vid;
-        property = req.Protocol.property;
-        status = Report.Unknown reason;
-        evidence = "no attestation-server report";
-        produced_at = Sim.Engine.now t.engine;
-      }
-    in
-    Ok (finish req (sign_controller_report t req ledger report))
-  in
-  let rec go attempt =
-    match attest_group_once t ~idx ~host items ledger with
-    | Ok (n2, per_item, receipts) -> List.map2 (appraise n2 (ref receipts)) reqs per_item
-    | Error (`Avail msg) ->
-        if attempt < t.attest_attempts then go (attempt + 1)
-        else begin
-          log t "batched attestation on %s degraded to unknown: %s" host msg;
-          List.map (degraded msg) reqs
-        end
-    | Error (`Hard msg) -> List.map (fun _ -> Error msg) reqs
-  in
-  go 1
+let attest_group t ~host reqs ledger =
+  with_retries t ~what:("batched attestation on " ^ host) ledger reqs
+    (group_round t ~idx:(as_index t ~host) ~host reqs ledger)
 
 let set_batching t enabled = t.batching <- enabled
 let batching t = t.batching
@@ -462,9 +414,13 @@ let auditor t = t.auditor
    cost — it never changes who signs what. *)
 let attest_many t (reqs : Protocol.attest_request list) =
   let shared = Ledger.create () in
-  let merge sub = List.iter (fun (l, c) -> Ledger.add shared l c) (Ledger.entries sub) in
-  let ireqs = List.mapi (fun i r -> (i, r)) reqs in
   let out = Array.make (List.length reqs) (Error "unprocessed") in
+  let by_index items = List.sort (fun (i, _) (j, _) -> compare i j) items in
+  let single (i, req) =
+    let result, sub = attest t req in
+    Ledger.merge_into shared sub;
+    out.(i) <- result
+  in
   let host_of (req : Protocol.attest_request) =
     if not t.batching then None
     else if Verdict_cache.find t.cache ~vid:req.vid ~property:req.property <> None then None
@@ -495,7 +451,7 @@ let attest_many t (reqs : Protocol.attest_request list) =
             if duplicate then deferred := (i, req) :: !deferred
             else Hashtbl.replace groups host ((i, req) :: members);
             false)
-      ireqs
+      (List.mapi (fun i r -> (i, r)) reqs)
   in
   (* A group of one gains nothing from a batch quote: unbatched path. *)
   let lone =
@@ -504,37 +460,19 @@ let attest_many t (reqs : Protocol.attest_request list) =
       groups []
   in
   List.iter (fun (host, _) -> Hashtbl.remove groups host) lone;
-  let singles =
-    List.sort
-      (fun (i, _) (j, _) -> compare i j)
-      (List.map snd lone @ singles)
-  in
-  List.iter
-    (fun (i, req) ->
-      let result, sub = attest t req in
-      merge sub;
-      out.(i) <- result)
-    singles;
+  List.iter single (by_index (List.map snd lone @ singles));
   t.as_ledger := shared;
   let grouped =
     List.sort
       (fun (h1, _) (h2, _) -> compare h1 h2)
-      (Hashtbl.fold
-         (fun host items acc ->
-           (host, List.sort (fun (i, _) (j, _) -> compare i j) items) :: acc)
-         groups [])
+      (Hashtbl.fold (fun host items acc -> (host, by_index items) :: acc) groups [])
   in
   List.iter
     (fun (host, items) ->
       let results = attest_group t ~host (List.map snd items) shared in
       List.iter2 (fun (i, _) r -> out.(i) <- r) items results)
     grouped;
-  List.iter
-    (fun (i, req) ->
-      let result, sub = attest t req in
-      merge sub;
-      out.(i) <- result)
-    (List.sort (fun (i, _) (j, _) -> compare i j) !deferred);
+  List.iter single (by_index !deferred);
   (List.map2 (fun req r -> (req, r)) reqs (Array.to_list out), shared)
 
 (* --- Responses (nova response module) ------------------------------------ *)
@@ -993,7 +931,6 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
       subscribers = Hashtbl.create 8;
       periodic = Hashtbl.create 8;
       response_policy = default_policy;
-      attest_attempts = 2;
       batching = false;
       auditing = false;
       auditor = None;
@@ -1012,8 +949,6 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
   Net.Network.register net name (Net.Secure_channel.Server.handle channel_server);
   t
 
-let set_cluster_map t f = t.cluster_of <- f
-let set_attest_attempts t n = t.attest_attempts <- max 1 n
 let verdict_cache t = t.cache
 let set_verdict_cache_ttl t ttl = Verdict_cache.set_ttl t.cache ttl
 

@@ -45,8 +45,6 @@ val create :
     several AS instances give scalability); [cluster_of] maps a cloud
     server name to its AS index (default: everything on AS 0). *)
 
-val set_cluster_map : t -> (string -> int) -> unit
-
 val name : t -> string
 val identity : t -> Net.Secure_channel.Identity.t
 val public_key : t -> Crypto.Rsa.public
@@ -97,11 +95,14 @@ val attest :
 
     The AS leg rides the retry/resync stack ({!Net.Network.call_with_retry},
     {!Net.Secure_channel.Client.call_robust}); if the AS stays unreachable
-    through the configured number of rounds the call still returns [Ok] of a
-    signed controller report whose status is [Report.Unknown reason], so a
-    lossy network degrades the verdict instead of wedging the caller.
+    through two from-scratch rounds the call still returns [Ok] of a signed
+    controller report whose status is [Report.Unknown reason], so a lossy
+    network degrades the verdict instead of wedging the caller.
     Forgery-shaped failures (bad signatures, malformed replies, unknown
-    hosts) remain hard [Error]s. *)
+    hosts, missing or forged audit receipts) remain hard [Error]s.  The
+    batched rounds of {!attest_many} share this round: the same AS call,
+    the same per-report acceptance and re-signing, the same retry loop;
+    only the wire format differs. *)
 
 val cluster_count : t -> int
 (** Number of configured AS clusters (length of [attestation_servers]). *)
@@ -120,10 +121,6 @@ val attest_routed :
     against the topology before any wire traffic.  A misroute is a hard
     error; a correct route takes the exact {!attest} path (byte-identical
     wire traffic). *)
-
-val set_attest_attempts : t -> int -> unit
-(** Bound on from-scratch {!attest} rounds before degrading to [Unknown]
-    (clamped to at least 1; default 2). *)
 
 val attest_many :
   t ->

@@ -340,85 +340,80 @@ let check cond err = if cond then Ok () else Error err
 
 let ( let* ) = Result.bind
 
-let verify_measure_response ~pca ~cert ~expected_vid ~expected_requests ~expected_nonce
+type anchor = Privacy_ca of Crypto.Rsa.public * Net.Ca.cert | Vendor_root of Crypto.Rsa.public
+
+type session = {
+  s_avk : string;
+  s_endorsement : string;
+  s_signature : string;
+  s_payload : string;
+  s_nonce : string;
+}
+
+let measure_session (r : measure_response) =
+  {
+    s_avk = r.avk;
+    s_endorsement = r.endorsement;
+    s_signature = r.signature;
+    s_payload = measure_response_payload r;
+    s_nonce = r.nonce;
+  }
+
+let batch_session (r : batch_measure_response) =
+  {
+    s_avk = r.br_avk;
+    s_endorsement = r.br_endorsement;
+    s_signature = r.br_signature;
+    s_payload = Tpm.Trust_module.batch_quote_payload ~root:r.br_root ~nonce:r.br_nonce;
+    s_nonce = r.br_nonce;
+  }
+
+(* AVKs chains to the anchor (the pCA certificate, or the two-link platform
+   chain in the endorsement field checked against the vendor root) and
+   signs the payload.  Memoized (as are the verify sites below): a
+   re-appraised quote — batch re-check, replayed retry, audited verdict — is
+   a byte-identical triple, so only its first appraisal pays the
+   exponentiation. *)
+let verify_session ~anchor s =
+  match Crypto.Rsa.public_of_string s.s_avk with
+  | None -> Error `Bad_certificate
+  | Some avk ->
+      let anchored =
+        match anchor with
+        | Privacy_ca (pca, cert) -> Privacy_ca.check_certificate ~pca cert ~key:avk
+        | Vendor_root root ->
+            Tpm.Platform_root.verify_chain ~root ~endorsement:s.s_endorsement ~key:avk
+      in
+      let* () = check anchored `Bad_certificate in
+      check (Crypto.Rsa.verify_memo avk ~signature:s.s_signature s.s_payload) `Bad_signature
+
+let verify_measure_response ~anchor ~expected_vid ~expected_requests ~expected_nonce
     (r : measure_response) =
-  match Crypto.Rsa.public_of_string r.avk with
-  | None -> Error `Bad_certificate
-  | Some avk ->
-      let* () = check (Privacy_ca.check_certificate ~pca cert ~key:avk) `Bad_certificate in
-      let* () =
-        (* Memoized (as are the three verify sites below): a re-appraised
-           quote — batch re-check, replayed retry, audited verdict — is a
-           byte-identical triple, so only its first appraisal pays the
-           exponentiation. *)
-        check (Crypto.Rsa.verify_memo avk ~signature:r.signature (measure_response_payload r))
-          `Bad_signature
-      in
-      let* () = check (String.equal r.vid expected_vid) `Vid_mismatch in
-      let* () = check (String.equal r.requests_raw expected_requests) `Vid_mismatch in
-      let* () = check (String.equal r.nonce expected_nonce) `Nonce_mismatch in
-      check
-        (String.equal r.quote
-           (q3 ~vid:r.vid ~requests_raw:r.requests_raw ~values_raw:r.values_raw ~nonce:r.nonce))
-        `Bad_quote
+  let* () = verify_session ~anchor (measure_session r) in
+  let* () = check (String.equal r.vid expected_vid) `Vid_mismatch in
+  let* () = check (String.equal r.requests_raw expected_requests) `Vid_mismatch in
+  let* () = check (String.equal r.nonce expected_nonce) `Nonce_mismatch in
+  check
+    (String.equal r.quote
+       (q3 ~vid:r.vid ~requests_raw:r.requests_raw ~values_raw:r.values_raw ~nonce:r.nonce))
+    `Bad_quote
 
-(* CVM variant: the operator's Privacy CA is out of the loop.  The
-   endorsement field carries the two-link platform certificate chain and
-   the verifier checks it against the hardware vendor's root key alone. *)
-let verify_measure_response_cvm ~root ~expected_vid ~expected_requests ~expected_nonce
-    (r : measure_response) =
-  match Crypto.Rsa.public_of_string r.avk with
-  | None -> Error `Bad_certificate
-  | Some avk ->
-      let* () =
-        check
-          (Tpm.Platform_root.verify_chain ~root ~endorsement:r.endorsement ~key:avk)
-          `Bad_certificate
-      in
-      let* () =
-        check (Crypto.Rsa.verify_memo avk ~signature:r.signature (measure_response_payload r))
-          `Bad_signature
-      in
-      let* () = check (String.equal r.vid expected_vid) `Vid_mismatch in
-      let* () = check (String.equal r.requests_raw expected_requests) `Vid_mismatch in
-      let* () = check (String.equal r.nonce expected_nonce) `Nonce_mismatch in
-      check
-        (String.equal r.quote
-           (q3 ~vid:r.vid ~requests_raw:r.requests_raw ~values_raw:r.values_raw ~nonce:r.nonce))
-        `Bad_quote
+(* Whole-batch envelope: the anchor binds AVKs and the single session-key
+   signature covers the Merkle root + nonce.  Verified once per batch, not
+   once per report — that is the amortization. *)
+let verify_batch_envelope ~anchor ~expected_nonce (r : batch_measure_response) =
+  let* () = verify_session ~anchor (batch_session r) in
+  check (String.equal r.br_nonce expected_nonce) `Nonce_mismatch
 
-(* Whole-batch envelope: the pCA certificate binds AVKs and the single
-   session-key signature covers the Merkle root + nonce.  Verified once per
-   batch, not once per report — that is the amortization. *)
-let verify_batch_envelope ~pca ~cert ~expected_nonce (r : batch_measure_response) =
-  match Crypto.Rsa.public_of_string r.br_avk with
-  | None -> Error `Bad_certificate
-  | Some avk ->
-      let* () = check (Privacy_ca.check_certificate ~pca cert ~key:avk) `Bad_certificate in
-      let* () =
-        check
-          (Crypto.Rsa.verify_memo avk ~signature:r.br_signature
-             (Tpm.Trust_module.batch_quote_payload ~root:r.br_root ~nonce:r.br_nonce))
-          `Bad_signature
-      in
-      check (String.equal r.br_nonce expected_nonce) `Nonce_mismatch
-
-let verify_batch_envelope_cvm ~root ~expected_nonce (r : batch_measure_response) =
-  match Crypto.Rsa.public_of_string r.br_avk with
-  | None -> Error `Bad_certificate
-  | Some avk ->
-      let* () =
-        check
-          (Tpm.Platform_root.verify_chain ~root ~endorsement:r.br_endorsement ~key:avk)
-          `Bad_certificate
-      in
-      let* () =
-        check
-          (Crypto.Rsa.verify_memo avk ~signature:r.br_signature
-             (Tpm.Trust_module.batch_quote_payload ~root:r.br_root ~nonce:r.br_nonce))
-          `Bad_signature
-      in
-      check (String.equal r.br_nonce expected_nonce) `Nonce_mismatch
+(* A restored, not re-registered vTPM has no anchor: the Privacy CA only
+   recognised its endorsement.  The session signature and the N3 echo are
+   still checked, so a forger cannot ride the stale path and an old reply
+   cannot be replayed into it. *)
+let verify_stale_session ~avk ~expected_nonce s =
+  let* () =
+    check (Crypto.Rsa.verify_memo avk ~signature:s.s_signature s.s_payload) `Bad_signature
+  in
+  check (String.equal s.s_nonce expected_nonce) `Nonce_mismatch
 
 (* Per-report check: the item's Q3 leaf must sit under the signed root, so a
    report keeps its individual integrity even though the signature is

@@ -133,29 +133,45 @@ type verify_error =
 
 val pp_verify_error : Format.formatter -> verify_error -> unit
 
-val verify_measure_response :
-  pca:Crypto.Rsa.public ->
-  cert:Net.Ca.cert ->
-  expected_vid:string ->
-  expected_requests:string ->
-  expected_nonce:string ->
-  measure_response ->
-  (unit, verify_error) result
-(** The full Attestation Server check: pCA certificate binds [avk], the
-    signature verifies under [avk], the quote recomputes, and vid, rM and
-    N3 all match the outstanding request. *)
+(** What AVKs must chain to, per trust backend: the Privacy CA's key and
+    the certificate it issued for AVKs (classic TPM and e-vTPM), or the
+    hardware vendor's root key, against which the two-link platform chain
+    in the endorsement field is checked ([Cvm_report]; the cloud operator
+    is outside this trust path entirely). *)
+type anchor = Privacy_ca of Crypto.Rsa.public * Net.Ca.cert | Vendor_root of Crypto.Rsa.public
 
-val verify_measure_response_cvm :
-  root:Crypto.Rsa.public ->
+(** The part of a cloud server's reply its session key vouches for, the
+    same in both shapes: AVKs, its endorsement, the session signature, the
+    bytes it signs and the N3 the reply echoes. *)
+type session = {
+  s_avk : string;
+  s_endorsement : string;
+  s_signature : string;
+  s_payload : string;
+  s_nonce : string;
+}
+
+val measure_session : measure_response -> session
+val batch_session : batch_measure_response -> session
+
+val verify_measure_response :
+  anchor:anchor ->
   expected_vid:string ->
   expected_requests:string ->
   expected_nonce:string ->
   measure_response ->
   (unit, verify_error) result
-(** {!verify_measure_response} for a [Cvm_report] backend: the Privacy CA
-    is replaced by the hardware vendor's [root] key, against which the
-    two-link platform chain in the endorsement field is checked.  The
-    cloud operator is outside this trust path entirely. *)
+(** The full Attestation Server check: [anchor] binds [avk], the signature
+    verifies under [avk], the quote recomputes, and vid, rM and N3 all
+    match the outstanding request. *)
+
+val verify_stale_session :
+  avk:Crypto.Rsa.public -> expected_nonce:string -> session -> (unit, verify_error) result
+(** The re-check for a session key the Privacy CA recognised as coming from
+    a restored, not re-registered e-vTPM (no certificate, so no anchor):
+    the session signature verifies under [avk] ([`Bad_signature]), then
+    the echoed nonce equals N3 ([`Nonce_mismatch]).  Both reply shapes use
+    it. *)
 
 val verify_as_report :
   key:Crypto.Rsa.public ->
@@ -175,21 +191,12 @@ val verify_controller_report :
   (unit, verify_error) result
 
 val verify_batch_envelope :
-  pca:Crypto.Rsa.public ->
-  cert:Net.Ca.cert ->
+  anchor:anchor ->
   expected_nonce:string ->
   batch_measure_response ->
   (unit, verify_error) result
-(** Whole-batch check, done once: pCA certificate binds [br_avk], the
-    session-key signature covers root + nonce, N3 matches. *)
-
-val verify_batch_envelope_cvm :
-  root:Crypto.Rsa.public ->
-  expected_nonce:string ->
-  batch_measure_response ->
-  (unit, verify_error) result
-(** {!verify_batch_envelope} against the hardware vendor root instead of
-    the Privacy CA. *)
+(** Whole-batch check, done once: [anchor] binds [br_avk], the session-key
+    signature covers root + nonce, N3 matches. *)
 
 val verify_batch_item :
   root:string ->

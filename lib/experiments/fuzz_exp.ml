@@ -96,6 +96,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
 
 let clean r =
   Fuzz.Campaign.clean r.report
+  && r.report.Fuzz.Campaign.batch_checked > 0
   && r.fleet_violations = []
   && List.for_all (fun p -> p.caught) r.planted
 

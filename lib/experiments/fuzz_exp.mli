@@ -31,6 +31,10 @@ val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
     overrides the campaign size either way. *)
 
 val clean : result -> bool
+(** {!Fuzz.Campaign.clean}, at least one batched/unbatched twin compared
+    (so that oracle cannot pass without running), no fleet-property
+    violation, and every planted bug caught. *)
+
 val repro_lines : result -> string list
 (** One replayable line per failure (campaign failures, then planted). *)
 

@@ -77,6 +77,86 @@ let test_classic_as_reply_pinned () =
   Alcotest.(check int) "reply length" pinned_as_reply_len (String.length reply);
   Alcotest.(check string) "reply digest" pinned_as_reply_digest (hex reply)
 
+(* --- Single and batched rounds on every backend, pinned --------------------- *)
+
+(* One server per backend, two VMs each, audit on, verdict cache off: one
+   single round per VM, one batched round over all six (one Merkle group per
+   backend), then a single and a batched round on the restored, not
+   re-registered e-vTPM host.  The digest covers every wire message, ledger
+   entry and verdict, so any byte either round shape moves on any backend
+   shows here.  Captured before the two shapes shared one round. *)
+let pinned_rounds_digest =
+  "075b4276f73b72b2be95b941c72200fd4e64a17646d939adb1979a3cbf657272"
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_rounds_pinned () =
+  let backend_of = function
+    | 0 -> Tpm.Backend.Classic | 1 -> Tpm.Backend.Evtpm | _ -> Tpm.Backend.Cvm_report
+  in
+  let cloud = Cloud.build ~config:{ Cloud.default_config with key_bits = 512; backend_of } () in
+  ignore (Cloud.enable_audit ~checkpoint_interval:0 cloud : Audit.Log.t list);
+  let ctl = Cloud.controller cloud in
+  let launch _ =
+    let req =
+      { Controller.owner = "pin"; image = "cirros"; flavor = "small";
+        properties = [ Property.Startup_integrity ]; workload = ""; pins = [] }
+    in
+    match Controller.launch ctl req with
+    | Ok info -> info.Commands.vid
+    | Error _ -> Alcotest.fail "launch failed"
+  in
+  let vids = List.init 6 launch in
+  let on host = List.filter (fun vid -> Controller.vm_host ctl ~vid = Some host) vids in
+  List.iter
+    (fun host -> Alcotest.(check int) (host ^ " hosts two VMs") 2 (List.length (on host)))
+    [ "server-1"; "server-2"; "server-3" ];
+  let out = Buffer.create 4096 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string out (s ^ "\n")) fmt in
+  let record (results, ledger) =
+    List.iter (fun (label, cost) -> line "ledger %s=%d" label cost) (Ledger.entries ledger);
+    List.iter
+      (fun ((r : Protocol.attest_request), result) ->
+        match result with
+        | Ok (c : Protocol.controller_report) ->
+            line "verdict %s %s %s" r.vid (Property.to_string r.property)
+              (Format.asprintf "%a" Report.pp_status c.Protocol.report.Report.status)
+        | Error e -> line "error %s %s" r.vid e)
+      results
+  in
+  let req i vid =
+    let property = List.nth Property.all (i mod 4) in
+    { Protocol.vid; property; nonce = Printf.sprintf "pin-n1-%d" i }
+  in
+  let single r =
+    let result, ledger = Controller.attest ctl r in
+    record ([ (r, result) ], ledger)
+  in
+  let batched rs = record (Controller.attest_many ctl rs) in
+  List.iteri (fun i vid -> single (req i vid)) vids;
+  Controller.set_batching ctl true;
+  batched (List.mapi (fun i vid -> req (i + 6) vid) vids);
+  let state = Result.get_ok (Cloud.vtpm_save cloud ~server:"server-2") in
+  Result.get_ok (Cloud.vtpm_restore cloud ~server:"server-2" state);
+  single (req 12 (List.hd (on "server-2")));
+  batched (List.mapi (fun i vid -> req (i + 13) vid) (on "server-2"));
+  List.iter
+    (fun (m : Net.Network.message) ->
+      line "wire %d %s>%s %s %s" m.seq m.src m.dst
+        (if m.dir = Net.Network.Request then "req" else "rep")
+        (hex m.payload))
+    (Net.Network.recorded (Cloud.net cloud));
+  let transcript = Buffer.contents out in
+  let count p = List.length (List.filter p (String.split_on_char '\n' transcript)) in
+  (* 6 + 6 + 1 + 2 verdicts, every one signed; the restored e-vTPM's three
+     are stale-binding. *)
+  Alcotest.(check int) "verdicts" 15 (count (String.starts_with ~prefix:"verdict "));
+  Alcotest.(check int) "stale-binding verdicts" 3 (count (contains ~sub:"vtpm-stale-binding"));
+  Alcotest.(check string) "rounds digest" pinned_rounds_digest (hex transcript)
+
 (* --- e-vTPM state machine -------------------------------------------------- *)
 
 let test_evtpm_save_restore_roundtrip () =
@@ -186,6 +266,36 @@ let test_migrate_without_rebind_detected () =
   Alcotest.(check bool) "healthy after rebind" true
     (attest_status customer ~vid = Report.Healthy)
 
+(* The batched shape of the same attack: one Merkle round over every VM on
+   the restored host, and every item comes back signed and stale. *)
+let test_batched_round_on_stale_host () =
+  let backend_of _ = Tpm.Backend.Evtpm in
+  let config = { Cloud.default_config with key_bits = 512; num_servers = 1; backend_of } in
+  let cloud = Cloud.build ~config () in
+  let ctl = Cloud.controller cloud in
+  let vids = List.init 3 (fun _ -> launch_monitored (Cloud.Customer.create cloud ~name:"eve")) in
+  let state = Result.get_ok (Cloud.vtpm_save cloud ~server:"server-1") in
+  Result.get_ok (Cloud.vtpm_restore cloud ~server:"server-1" state);
+  Controller.set_batching ctl true;
+  let reqs =
+    List.map (fun vid -> { Protocol.vid; property = Property.Startup_integrity; nonce = vid }) vids
+  in
+  let results, ledger = Controller.attest_many ctl reqs in
+  Alcotest.(check int) "one AS round" Costs.db_lookup (Ledger.of_label ledger "as:db-lookup");
+  List.iter
+    (fun ((r : Protocol.attest_request), result) ->
+      let c = Result.get_ok result in
+      Alcotest.(check bool) (r.vid ^ " signed") true
+        (Protocol.verify_controller_report ~key:(Controller.public_key ctl) ~expected_vid:r.vid
+           ~expected_property:r.property ~expected_nonce:r.nonce c
+        = Ok ());
+      match c.Protocol.report.Report.status with
+      | Report.Compromised why ->
+          Alcotest.(check bool) (r.vid ^ " stale binding") true
+            (String.starts_with ~prefix:"vtpm-stale-binding" why)
+      | s -> Alcotest.failf "%s: expected Compromised, got %a" r.vid Report.pp_status s)
+    results
+
 let test_vtpm_ops_reject_non_evtpm_hosts () =
   let cloud = Cloud.build ~config:{ Cloud.default_config with key_bits = 512 } () in
   (match Cloud.vtpm_save cloud ~server:"server-1" with
@@ -242,6 +352,30 @@ let test_cvm_operator_convicted_on_rollback () =
        (fun ev -> ev.Audit.Auditor.kind = Audit.Auditor.Rollback)
        (Audit.Auditor.evidence auditor))
 
+(* An AS with no vendor root cannot appraise a CVM host, in either shape:
+   a hard error, never a degraded [Unknown] verdict. *)
+let test_cvm_without_vendor_root () =
+  let config = { Cloud.default_config with key_bits = 512; num_servers = 1 } in
+  let cloud = Cloud.build ~config () in
+  let vids = List.init 2 (fun _ -> launch_monitored (Cloud.Customer.create cloud ~name:"carol")) in
+  let as_ =
+    Attestation_server.create ~net:(Cloud.net cloud) ~ca:(Cloud.ca cloud) ~pca:(Cloud.pca cloud)
+      ~refs:Interpret.default_refs ~seed:"no-root" ~key_bits:512 ~name:"as-without-root" ()
+  in
+  Attestation_server.set_backend_lookup as_ (fun _ -> Tpm.Backend.Cvm_report);
+  let items = List.map (fun vid -> (vid, Property.Startup_integrity)) vids in
+  let vid, property = List.hd items in
+  let expect shape = function
+    | Error `No_platform_root -> ()
+    | Error e -> Alcotest.failf "%s: %a" shape Attestation_server.pp_error e
+    | Ok _ -> Alcotest.failf "%s: appraised without a vendor root" shape
+  in
+  expect "single"
+    (fst (Attestation_server.attest as_ ~vid ~server:"server-1" ~property ~nonce:"n2"));
+  expect "batch" (fst (Attestation_server.attest_batch as_ ~server:"server-1" ~items ~nonce:"n2"));
+  Alcotest.(check int) "nothing degraded" 0 (Attestation_server.degraded_count as_);
+  Alcotest.(check int) "no verdict signed" 0 (Attestation_server.attestations_done as_)
+
 (* --- Per-backend cost rows -------------------------------------------------- *)
 
 let test_backend_cost_rows () =
@@ -267,6 +401,8 @@ let () =
           Alcotest.test_case "module bytes pinned" `Quick test_classic_backend_bytes_pinned;
           Alcotest.test_case "AS wire reply pinned" `Quick test_classic_as_reply_pinned;
         ] );
+      ( "rounds-pinned",
+        [ Alcotest.test_case "single and batched rounds pinned" `Quick test_rounds_pinned ] );
       ( "evtpm",
         [
           Alcotest.test_case "save/restore round-trip" `Quick
@@ -281,6 +417,8 @@ let () =
         [
           Alcotest.test_case "migrate without rebind detected" `Quick
             test_migrate_without_rebind_detected;
+          Alcotest.test_case "batched round on stale host" `Quick
+            test_batched_round_on_stale_host;
           Alcotest.test_case "vtpm ops reject classic hosts" `Quick
             test_vtpm_ops_reject_non_evtpm_hosts;
         ] );
@@ -290,6 +428,8 @@ let () =
             test_cvm_attests_against_vendor_root;
           Alcotest.test_case "operator rollback convicted" `Quick
             test_cvm_operator_convicted_on_rollback;
+          Alcotest.test_case "no vendor root is a hard error" `Quick
+            test_cvm_without_vendor_root;
         ] );
       ( "costs",
         [ Alcotest.test_case "per-backend cost rows" `Quick test_backend_cost_rows ] );

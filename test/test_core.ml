@@ -272,7 +272,7 @@ let build_batch () =
 let test_batch_envelope_and_items_verify () =
   let pca, cert, specs, br = build_batch () in
   Alcotest.(check bool) "one envelope check covers the batch" true
-    (Protocol.verify_batch_envelope ~pca:(Privacy_ca.public pca) ~cert
+    (Protocol.verify_batch_envelope ~anchor:(Protocol.Privacy_ca (Privacy_ca.public pca, cert))
        ~expected_nonce:br.Protocol.br_nonce br
     = Ok ());
   List.iteri
@@ -287,7 +287,7 @@ let test_batch_envelope_and_items_verify () =
     br.Protocol.br_items;
   (* Wrong nonce is caught at the envelope. *)
   Alcotest.(check bool) "stale nonce rejected" true
-    (Protocol.verify_batch_envelope ~pca:(Privacy_ca.public pca) ~cert
+    (Protocol.verify_batch_envelope ~anchor:(Protocol.Privacy_ca (Privacy_ca.public pca, cert))
        ~expected_nonce:"N3-stale" br
     <> Ok ())
 
@@ -339,6 +339,91 @@ let test_batch_codecs_roundtrip () =
   (* The batch magic never collides with the single-shot AS request codec. *)
   Alcotest.(check bool) "magics disjoint" true
     (Protocol.decode_as_request (Protocol.encode_batch_as_request ba) = None)
+
+(* --- Stale e-vTPM re-check ------------------------------------------------------------ *)
+
+(* An AS facing a cloud server whose restored, not re-registered e-vTPM
+   session-signs every reply, in either shape, around the nonce [echo n3]
+   instead of the AS's N3. *)
+let stale_vtpm_as ~echo =
+  let net = Net.Network.create ~seed:7 () in
+  let ca = Net.Ca.create ~seed:"stale" ~bits:512 ~name:"root" () in
+  let pca = Privacy_ca.create ~seed:"stale" ~bits:512 () in
+  let dev = Tpm.Evtpm.create ~key_bits:512 ~seed:"stale-vtpm" () in
+  Privacy_ca.enroll_evtpm pca ~name:"server-1" (Tpm.Evtpm.identity_public dev) ~epoch:0;
+  Result.get_ok (Tpm.Evtpm.restore_state dev (Result.get_ok (Tpm.Evtpm.save_state dev)));
+  let measure plaintext =
+    let session = Tpm.Evtpm.begin_session dev in
+    let avk = Crypto.Rsa.public_to_string session.Tpm.Trust_module.public in
+    let endorsement = session.Tpm.Trust_module.endorsement in
+    match Protocol.decode_batch_measure_request plaintext with
+    | Some bm ->
+        (* A stale batch is judged on its envelope alone; items are only counted. *)
+        let nonce = echo bm.Protocol.bm_nonce and root = "root" in
+        let item (bi_vid, bi_requests_raw) =
+          { Protocol.bi_vid; bi_requests_raw; bi_values_raw = "";
+            bi_proof = Crypto.Merkle.proof [ root ] 0 }
+        in
+        Protocol.encode_batch_measure_response
+          { Protocol.br_items = List.map item bm.Protocol.bm_items; br_nonce = nonce;
+            br_root = root;
+            br_signature = Option.get (Tpm.Evtpm.quote_batch dev session ~root ~nonce);
+            br_avk = avk; br_endorsement = endorsement }
+    | None ->
+        let req = Option.get (Protocol.decode_measure_request plaintext) in
+        let vid = req.Protocol.vid and requests_raw = req.requests_raw and nonce = echo req.nonce in
+        let quote = Protocol.q3 ~vid ~requests_raw ~values_raw:"" ~nonce in
+        let unsigned =
+          { Protocol.vid; requests_raw; values_raw = ""; nonce; quote; signature = ""; avk;
+            endorsement }
+        in
+        let payload = Protocol.measure_response_payload unsigned in
+        Protocol.encode_measure_response
+          { unsigned with signature = Option.get (Tpm.Evtpm.sign_with_session dev session payload) }
+  in
+  let on_request ~peer:_ plaintext =
+    Wire.Codec.encode (fun e -> Wire.Codec.Enc.u8 e 1; Wire.Codec.Enc.str e (measure plaintext))
+  in
+  let identity = Net.Secure_channel.Identity.make ca ~seed:"srv" ~bits:512 ~name:"server-1" () in
+  let srv =
+    Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed:"srv" ~on_request
+  in
+  Net.Network.register net "att:server-1" (Net.Secure_channel.Server.handle srv);
+  let refs = Interpret.default_refs in
+  let as_ = Attestation_server.create ~net ~ca ~pca ~refs ~seed:"as" ~key_bits:512 () in
+  Attestation_server.set_backend_lookup as_ (fun _ -> Tpm.Backend.Evtpm);
+  as_
+
+(* A stale binding is only recognised, never certified, so the session
+   signature and the N3 echo are all that keep an old reply from becoming
+   a verdict: both shapes must check both. *)
+let test_stale_session_checks_n3 () =
+  let status (r : Protocol.as_report) = r.Protocol.report.Report.status in
+  let items = [ ("vm-1", Property.Startup_integrity); ("vm-2", Property.Runtime_integrity) ] in
+  let single as_ =
+    let vid, property = List.hd items in
+    Result.map (fun r -> [ status r ])
+      (fst (Attestation_server.attest as_ ~vid ~server:"server-1" ~property ~nonce:"N2"))
+  in
+  let batch as_ =
+    Result.map (List.map (fun (_, _, r) -> status (Result.get_ok r)))
+      (fst (Attestation_server.attest_batch as_ ~server:"server-1" ~items ~nonce:"N2"))
+  in
+  let stale = function
+    | Report.Compromised why -> String.starts_with ~prefix:"vtpm-stale-binding" why
+    | _ -> false
+  in
+  List.iter
+    (fun (shape, appraise) ->
+      (match appraise (stale_vtpm_as ~echo:Fun.id) with
+      | Ok statuses ->
+          Alcotest.(check bool) (shape ^ ": N3 echoed") true (List.for_all stale statuses)
+      | Error e -> Alcotest.failf "%s: %a" shape Attestation_server.pp_error e);
+      match appraise (stale_vtpm_as ~echo:(fun _ -> "not-N3")) with
+      | Error (`Verification `Nonce_mismatch) -> ()
+      | Error e -> Alcotest.failf "%s: %a" shape Attestation_server.pp_error e
+      | Ok _ -> Alcotest.failf "%s: a reply echoing another nonce was accepted" shape)
+    [ ("single", single); ("batch", batch) ]
 
 (* --- Policy --------------------------------------------------------------------------- *)
 
@@ -761,6 +846,11 @@ let () =
           Alcotest.test_case "tampered proof isolated" `Quick
             test_batch_tampered_proof_isolated;
           Alcotest.test_case "codecs roundtrip" `Quick test_batch_codecs_roundtrip;
+        ] );
+      ( "stale-vtpm",
+        [
+          Alcotest.test_case "session signature and N3 checked" `Quick
+            test_stale_session_checks_n3;
         ] );
       ( "policy",
         [

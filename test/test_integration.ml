@@ -1030,6 +1030,30 @@ let test_gate_crypto () =
   Alcotest.(check bool) "CRT 3x faster" true (C.clean (result 3.0));
   Alcotest.(check bool) "CRT ratio 1.0" false (C.clean (result 1.0))
 
+(* A real campaign is too slow for tier 1: a clean result built by hand,
+   doctored three ways. *)
+let test_gate_fuzz () =
+  let module F = Experiments.Fuzz_exp in
+  let report =
+    { Fuzz.Campaign.seed0 = 2015; runs = 20; ops_per_run = 30; total_ops = 600; total_vms = 40;
+      total_attests = 200; failures = []; determinism_mismatches = 0; batch_checked = 8;
+      batch_mismatches = [] }
+  in
+  let caught =
+    { F.bug_name = "planted"; caught = true; found_at_seed = 7; shrunk_ops = 3; repro = "" }
+  in
+  let r =
+    { F.seed = 2015; scale = "smoke"; report; fleet_runs = 10; fleet_violations = [];
+      planted = [ caught ] }
+  in
+  Alcotest.(check bool) "clean result" true (F.clean r);
+  Alcotest.(check bool) "no batch twins" false
+    (F.clean { r with F.report = { report with batch_checked = 0 } });
+  Alcotest.(check bool) "planted mutant not caught" false
+    (F.clean { r with F.planted = [ { caught with F.caught = false } ] });
+  Alcotest.(check bool) "batch mismatch" false
+    (F.clean { r with F.report = { report with batch_mismatches = [ (2015, "differs") ] } })
+
 let () =
   Alcotest.run "integration"
     [
@@ -1113,5 +1137,6 @@ let () =
           Alcotest.test_case "verify gate fires" `Quick test_gate_verify;
           Alcotest.test_case "audit gate fires" `Quick test_gate_audit;
           Alcotest.test_case "crypto gate fires" `Quick test_gate_crypto;
+          Alcotest.test_case "fuzz gate fires" `Quick test_gate_fuzz;
         ] );
     ]
