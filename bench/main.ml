@@ -56,8 +56,8 @@ let micro_tests () =
   let nonce12 = Crypto.Drbg.random_bytes drbg 12 in
   let rsa = Crypto.Rsa.generate drbg ~bits:1024 in
   let signature = Crypto.Rsa.sign rsa.secret "payload" in
-  let tm = Tpm.Trust_module.create ~key_bits:512 ~seed:"bench-tm" () in
-  let session = Tpm.Trust_module.begin_session tm in
+  let tm = Tpm.Backend.create ~key_bits:512 Tpm.Backend.Classic ~seed:"bench-tm" () in
+  let session = Tpm.Backend.begin_session tm in
   [
     Test.make ~name:"sha256-1KB" (Staged.stage (fun () -> Crypto.Sha256.digest kb));
     Test.make ~name:"hmac-1KB" (Staged.stage (fun () -> Crypto.Hmac.mac ~key:key32 kb));
@@ -67,7 +67,7 @@ let micro_tests () =
     Test.make ~name:"rsa1024-verify"
       (Staged.stage (fun () -> Crypto.Rsa.verify rsa.public ~signature "payload"));
     Test.make ~name:"tpm-quote-sign"
-      (Staged.stage (fun () -> Tpm.Trust_module.sign_with_session tm session "measurements"));
+      (Staged.stage (fun () -> Tpm.Backend.sign_with_session tm session "measurements"));
     Test.make ~name:"pcr-extend"
       (Staged.stage
          (let pcrs = Tpm.Pcr.create ~count:16 in

@@ -32,9 +32,7 @@ type t = {
   clock : unit -> Sim.Time.t;
   state : (string, log_state) Hashtbl.t;
   mutable evidence : evidence list; (* newest first *)
-  mutable sths_checked : int;
   mutable proofs_checked : int;
-  mutable entries_checked : int;
 }
 
 let create ~name ~key_of ?(clock = fun () -> Sim.Time.zero) () =
@@ -44,17 +42,13 @@ let create ~name ~key_of ?(clock = fun () -> Sim.Time.zero) () =
     clock;
     state = Hashtbl.create 8;
     evidence = [];
-    sths_checked = 0;
     proofs_checked = 0;
-    entries_checked = 0;
   }
 
 let name t = t.name
 let evidence t = List.rev t.evidence
 let evidence_count t = List.length t.evidence
-let sths_checked t = t.sths_checked
 let proofs_checked t = t.proofs_checked
-let entries_checked t = t.entries_checked
 let trusted t ~log_id = Option.bind (Hashtbl.find_opt t.state log_id) (fun s -> s.trusted)
 
 let trusted_heads t =
@@ -76,7 +70,6 @@ let convict t ?trusted ?offending ~log_id ~kind detail =
     { log_id; kind; trusted; offending; detail; at = t.clock () } :: t.evidence
 
 let good_signature t sth =
-  t.sths_checked <- t.sths_checked + 1;
   match t.key_of sth.Sth.log_id with
   | None ->
       convict t ~offending:sth ~log_id:sth.Sth.log_id ~kind:Bad_signature
@@ -179,7 +172,6 @@ let observe t (view : View.t) =
 let replay t (view : View.t) ~upto ~check =
   let bad = ref 0 in
   for i = 0 to upto - 1 do
-    t.entries_checked <- t.entries_checked + 1;
     match view.View.entry i with
     | None ->
         incr bad;

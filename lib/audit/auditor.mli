@@ -69,9 +69,7 @@ val evidence : t -> evidence list
 (** Oldest first. *)
 
 val evidence_count : t -> int
-val sths_checked : t -> int
 val proofs_checked : t -> int
-val entries_checked : t -> int
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_evidence : Format.formatter -> evidence -> unit

@@ -201,20 +201,20 @@ let vtpm_device t server =
   match find_server t server with
   | None -> Error ("no such server: " ^ server)
   | Some s -> (
-      match Option.bind (Hypervisor.Server.trust_backend s) Tpm.Backend.as_evtpm with
-      | None -> Error (server ^ " does not run an ephemeral vTPM backend")
-      | Some dev -> Ok dev)
+      match Hypervisor.Server.trust_backend s with
+      | Some dev when Tpm.Backend.kind dev = Tpm.Backend.Evtpm -> Ok dev
+      | _ -> Error (server ^ " does not run an ephemeral vTPM backend"))
 
-let vtpm_save t ~server = Result.bind (vtpm_device t server) Tpm.Evtpm.save_state
+let vtpm_save t ~server = Result.bind (vtpm_device t server) Tpm.Backend.save_state
 
 let vtpm_restore t ~server state =
-  Result.bind (vtpm_device t server) (fun dev -> Tpm.Evtpm.restore_state dev state)
+  Result.bind (vtpm_device t server) (fun dev -> Tpm.Backend.restore_state dev state)
 
 let vtpm_rebind t ~server =
   Result.map
     (fun dev ->
-      let epoch = Tpm.Evtpm.rebind dev in
-      Privacy_ca.rebind_evtpm t.pca ~name:server (Tpm.Evtpm.identity_public dev) ~epoch;
+      let epoch = Tpm.Backend.rebind dev in
+      Privacy_ca.rebind_evtpm t.pca ~name:server (Tpm.Backend.identity_public dev) ~epoch;
       epoch)
     (vtpm_device t server)
 

@@ -53,11 +53,11 @@ val platform_root : t -> Tpm.Platform_root.t option
 
 (** {2 vTPM lifecycle}
 
-    Management-plane operations on servers running the {!Tpm.Evtpm}
-    backend: serialize the module state (what a migration or
-    suspend-to-disk carries), restore it (which marks the module stale),
-    and re-register with the Privacy CA (which is the {e only} way quotes
-    from restored state verify Healthy again). *)
+    Management-plane operations on servers running an e-vTPM
+    ({!Tpm.Backend.kind} [Evtpm]): serialize the module state (what a
+    migration or suspend-to-disk carries), restore it (which marks the
+    module stale), and re-register with the Privacy CA (which is the {e
+    only} way quotes from restored state verify Healthy again). *)
 
 val vtpm_save : t -> server:string -> (string, string) result
 

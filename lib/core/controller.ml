@@ -55,7 +55,6 @@ type t = {
   mutable response_policy : Report.t -> response_strategy option;
   mutable batching : bool;  (* Merkle-batched AS rounds in [attest_many]; off by default *)
   mutable auditing : bool;  (* require + verify AS inclusion receipts; off by default *)
-  mutable auditor : Audit.Auditor.t option;  (* STH sink fed by verified receipts *)
   mutable auto_resume : bool;  (* re-check suspended VMs and resume on healthy *)
   mutable recheck_period : Sim.Time.t;
   mutable max_rechecks : int;
@@ -199,12 +198,8 @@ let audit_check t ~idx (as_report : Protocol.as_report) receipt ledger =
         Ledger.add ledger "audit-receipt-verify"
           (Costs.audit_receipt_verify ~size:r.Audit.Receipt.sth.Audit.Sth.size);
         let key = snd t.attestation_servers.(idx) in
-        if not (Audit.Receipt.verify ~key ~entry:(Protocol.encode_as_report as_report) r) then
-          Error "audit inclusion receipt rejected"
-        else begin
-          Option.iter (fun auditor -> Audit.Auditor.note auditor r.Audit.Receipt.sth) t.auditor;
-          Ok ()
-        end
+        if Audit.Receipt.verify ~key ~entry:(Protocol.encode_as_report as_report) r then Ok ()
+        else Error "audit inclusion receipt rejected"
 
 (* One controller -> AS exchange under a fresh N2, either shape: [encode]
    builds the request around N2 and [decode] splits the reply into its
@@ -403,8 +398,6 @@ let set_batching t enabled = t.batching <- enabled
 let batching t = t.batching
 let set_auditing t enabled = t.auditing <- enabled
 let auditing t = t.auditing
-let set_auditor t auditor = t.auditor <- auditor
-let auditor t = t.auditor
 
 (* Attest many (vid, property) pairs in one call.  With batching enabled,
    cache misses are grouped by host and each group of two or more rides a
@@ -733,8 +726,6 @@ let periodic_start t ~vid ~property ~schedule ~nonce =
         true
       end
 
-let periodic_active t = Hashtbl.length t.periodic
-
 (* --- Launch ------------------------------------------------------------------ *)
 
 let fresh_vid t =
@@ -933,7 +924,6 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
       response_policy = default_policy;
       batching = false;
       auditing = false;
-      auditor = None;
       auto_resume = true;
       recheck_period = Sim.Time.sec 5;
       max_rechecks = 10;

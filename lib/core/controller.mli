@@ -56,7 +56,6 @@ val engine : t -> Sim.Engine.t
 val register_hypervisor : t -> Hypervisor.Server.t -> unit
 val hypervisor : t -> string -> Hypervisor.Server.t option
 val add_image : t -> Hypervisor.Image.t -> unit
-val find_image : t -> string -> Hypervisor.Image.t option
 
 val corrupt_image : t -> string -> bool
 (** Attack hook: replace the stored image with a tampered copy. *)
@@ -153,13 +152,6 @@ val set_auditing : t -> bool -> unit
 
 val auditing : t -> bool
 
-val set_auditor : t -> Audit.Auditor.t option -> unit
-(** Feed the STH from every verified receipt to this auditor
-    ({!Audit.Auditor.note}), so the controller participates in split-view
-    gossip alongside external auditors. *)
-
-val auditor : t -> Audit.Auditor.t option
-
 val verdict_cache : t -> Verdict_cache.t
 (** The controller's verdict cache (disabled by default). *)
 
@@ -174,11 +166,6 @@ val set_verdict_cache_ttl : t -> Sim.Time.t -> unit
 val subscribe : t -> owner:string -> (Protocol.controller_report -> unit) -> unit
 (** Where periodic attestation results for this customer's VMs are
     delivered (the push channel back to the customer). *)
-
-val periodic_start :
-  t -> vid:string -> property:Property.t -> schedule:Schedule.t -> nonce:string -> bool
-val periodic_stop : t -> vid:string -> property:Property.t -> bool
-val periodic_active : t -> int
 
 (** {2 Responses} *)
 

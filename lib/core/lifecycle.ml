@@ -1,14 +1,3 @@
-type stage = Scheduling | Networking | Block_device_mapping | Spawning | Attestation
-
-let stage_label = function
-  | Scheduling -> "scheduling"
-  | Networking -> "networking"
-  | Block_device_mapping -> "mapping"
-  | Spawning -> "spawning"
-  | Attestation -> "attestation"
-
-let all_stages = [ Scheduling; Networking; Block_device_mapping; Spawning; Attestation ]
-
 let scheduling_time ~considered =
   Costs.scheduling_base + (considered * Costs.scheduling_per_candidate)
 

@@ -7,11 +7,6 @@
     shapes (bigger image -> longer spawn; bigger RAM -> longer
     suspend/migrate) match the paper. *)
 
-type stage = Scheduling | Networking | Block_device_mapping | Spawning | Attestation
-
-val stage_label : stage -> string
-val all_stages : stage list
-
 val scheduling_time : considered:int -> Sim.Time.t
 (** Host selection: grows with the number of servers the filters examine
     (the oat-database capability checks). *)

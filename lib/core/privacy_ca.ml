@@ -31,7 +31,7 @@ let evtpm_epoch t ~name =
 let enrolled t = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.servers [])
 
 let certify_attestation_key t ~key ~endorsement =
-  let payload = Tpm.Trust_module.endorsement_payload key in
+  let payload = Tpm.Backend.endorsement_payload key in
   let endorsed =
     Hashtbl.fold
       (* Memoized: a re-certification of the same attestation key retries
@@ -46,7 +46,7 @@ let certify_attestation_key t ~key ~endorsement =
 let certify_evtpm_key t ~key ~endorsement =
   let check vk ~epoch ~stale =
     Crypto.Rsa.verify_memo vk ~signature:endorsement
-      (Tpm.Evtpm.endorsement_payload ~epoch ~stale key)
+      (Tpm.Backend.evtpm_endorsement_payload ~epoch ~stale key)
   in
   let found =
     Hashtbl.fold

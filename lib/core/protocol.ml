@@ -364,7 +364,7 @@ let batch_session (r : batch_measure_response) =
     s_avk = r.br_avk;
     s_endorsement = r.br_endorsement;
     s_signature = r.br_signature;
-    s_payload = Tpm.Trust_module.batch_quote_payload ~root:r.br_root ~nonce:r.br_nonce;
+    s_payload = Tpm.Backend.batch_quote_payload ~root:r.br_root ~nonce:r.br_nonce;
     s_nonce = r.br_nonce;
   }
 

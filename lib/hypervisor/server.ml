@@ -42,18 +42,7 @@ let create ~engine ~name ?(pcpus = 4) ?(mem_mb = 32768) ?(platform = pristine_pl
   let trust =
     if secure then begin
       let device_seed = name ^ "|" ^ seed in
-      let b =
-        match backend with
-        | Tpm.Backend.Classic ->
-            Tpm.Backend.classic (Tpm.Trust_module.create ~key_bits ~seed:device_seed ())
-        | Tpm.Backend.Evtpm ->
-            Tpm.Backend.evtpm (Tpm.Evtpm.create ~key_bits ~seed:device_seed ())
-        | Tpm.Backend.Cvm_report -> (
-            match platform_root with
-            | None -> invalid_arg "Server.create: a Cvm_report backend needs ~platform_root"
-            | Some root ->
-                Tpm.Backend.cvm (Tpm.Cvm_device.create ~key_bits ~root ~seed:device_seed ()))
-      in
+      let b = Tpm.Backend.create ~key_bits ?root:platform_root backend ~seed:device_seed () in
       (* Measured boot: hash the platform software into PCRs in load order. *)
       ignore (Tpm.Pcr.extend (Tpm.Backend.pcrs b) 0 platform.hypervisor_build : string);
       ignore (Tpm.Pcr.extend (Tpm.Backend.pcrs b) 1 platform.host_os_build : string);
@@ -80,7 +69,6 @@ let scheduler t = t.sched
 let cache t = t.cache
 let trust_backend t = t.trust
 let backend_kind t = Option.map Tpm.Backend.kind t.trust
-let trust_module t = Option.bind t.trust Tpm.Backend.as_classic
 let is_secure t = t.trust <> None
 let capabilities t = t.capabilities
 let platform t = t.platform

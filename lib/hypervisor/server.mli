@@ -43,7 +43,7 @@ val create :
     chosen kind and boots measured: the platform software is
     hash-extended into PCRs 0 and 1.  A [Cvm_report] backend needs the
     hardware vendor's [platform_root] to endorse its fused platform key
-    ([Invalid_argument] otherwise). *)
+    ([Invalid_argument] otherwise; see {!Tpm.Backend.create}). *)
 
 val name : t -> string
 val engine : t -> Sim.Engine.t
@@ -57,10 +57,6 @@ val trust_backend : t -> Tpm.Backend.t option
     servers. *)
 
 val backend_kind : t -> Tpm.Backend.kind option
-
-val trust_module : t -> Tpm.Trust_module.t option
-(** The concrete classic Trust Module — [None] on insecure servers {e and}
-    on servers running a non-classic backend.  Prefer {!trust_backend}. *)
 
 val is_secure : t -> bool
 val capabilities : t -> string list

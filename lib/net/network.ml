@@ -34,7 +34,6 @@ type t = {
   bandwidth_bytes_per_us : float;
   handlers : (address, string -> string) Hashtbl.t;
   mutable adversary : adversary option;
-  mutable retry : retry_policy;
   mutable log : message list; (* newest first *)
   mutable seq : int;
   mutable messages : int;
@@ -51,7 +50,6 @@ let create ?(base_latency_us = 200) ?(jitter_us = 50) ?(bandwidth_mbps = 1000.0)
     bandwidth_bytes_per_us = bandwidth_mbps *. 1.0e6 /. 8.0 /. 1.0e6;
     handlers = Hashtbl.create 16;
     adversary = None;
-    retry = default_retry_policy;
     log = [];
     seq = 0;
     messages = 0;
@@ -110,11 +108,8 @@ let call t ~src ~dst payload =
           | None -> (Error `Dropped, Sim.Time.us (t1 + t2))
           | Some reply -> (Ok reply, Sim.Time.us (t1 + t2))))
 
-let set_retry_policy t p = t.retry <- p
-let retry_policy t = t.retry
-
 let call_with_retry ?policy t ~src ~dst payload =
-  let p = match policy with Some p -> p | None -> t.retry in
+  let p = Option.value policy ~default:default_retry_policy in
   let max_attempts = max 1 p.max_attempts in
   let delay_for attempt =
     (* attempt is 1-based; the wait before attempt k+1 is

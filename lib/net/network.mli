@@ -75,13 +75,7 @@ val call_with_retry :
     duration is the whole exchange — every wire leg attempted plus every
     backoff wait — so callers charge the true cost of an adversarial
     network to their ledgers.  [`No_such_host] is permanent and never
-    retried.  [policy] defaults to the network's own (see
-    {!set_retry_policy}). *)
-
-val set_retry_policy : t -> retry_policy -> unit
-(** Replace the network-wide default policy used by {!call_with_retry}. *)
-
-val retry_policy : t -> retry_policy
+    retried.  [policy] defaults to {!default_retry_policy}. *)
 
 val transfer_time : t -> bytes:int -> Sim.Time.t
 (** Wire time for a bulk transfer of [bytes] (used for VM migration). *)

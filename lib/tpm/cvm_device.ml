@@ -1,85 +1,2 @@
-(* CVM hardware-report device (SEV-SNP / TDX class).  The machine carries a
-   fused platform key endorsed once by the hardware vendor's root
-   (Platform_root); per-attestation report keys are minted in firmware and
-   endorsed by the platform key.  Nothing here touches the operator's
-   Privacy CA — a verifier checks the chain against the vendor root alone,
-   which is exactly what puts the operator outside the TCB.
-
-   The device state is fused into the hardware: there is nothing to save or
-   restore, and the binding epoch is pinned at 0 forever. *)
-
-type t = {
-  platform : Crypto.Rsa.keypair;
-  platform_cert : string; (* vendor-root endorsement of the platform key *)
-  drbg : Crypto.Drbg.t;
-  registers : int array;
-  pcrs : Pcr.t;
-  key_bits : int;
-  sessions : (string, Crypto.Rsa.keypair) Hashtbl.t;
-}
-
-let create ?(key_bits = 1024) ?(num_registers = 64) ?(num_pcrs = 16) ~root ~seed () =
-  let drbg = Crypto.Drbg.create ~seed:("cvm-device|" ^ seed) in
-  let platform = Crypto.Rsa.generate drbg ~bits:key_bits in
-  {
-    platform;
-    platform_cert = Platform_root.endorse_platform root platform.Crypto.Rsa.public;
-    drbg;
-    registers = Array.make num_registers 0;
-    pcrs = Pcr.create ~count:num_pcrs;
-    key_bits;
-    sessions = Hashtbl.create 4;
-  }
-
-let identity_public t = t.platform.Crypto.Rsa.public
-let platform_cert t = t.platform_cert
-let pcrs t = t.pcrs
-let random_nonce t = Crypto.Drbg.nonce t.drbg
-let drbg t = t.drbg
-
-let num_registers t = Array.length t.registers
-let read_registers t = Array.copy t.registers
-
-let check t i =
-  if i < 0 || i >= Array.length t.registers then
-    invalid_arg "Cvm_device: register index out of range"
-
-let write_register t i v =
-  check t i;
-  t.registers.(i) <- v
-
-let add_register t i v =
-  check t i;
-  t.registers.(i) <- t.registers.(i) + v
-
-let clear_registers t = Array.fill t.registers 0 (Array.length t.registers) 0
-
-(* The session "endorsement" is the full hardware chain, so a verifier
-   needs nothing but the vendor root public key. *)
-let begin_session t =
-  let kp = Crypto.Rsa.generate t.drbg ~bits:t.key_bits in
-  Hashtbl.replace t.sessions (Crypto.Rsa.fingerprint kp.Crypto.Rsa.public) kp;
-  let report_sig =
-    Crypto.Rsa.sign t.platform.Crypto.Rsa.secret
-      (Platform_root.report_key_payload kp.Crypto.Rsa.public)
-  in
-  {
-    Trust_module.public = kp.Crypto.Rsa.public;
-    endorsement =
-      Platform_root.encode_chain ~platform:t.platform.Crypto.Rsa.public
-        ~cert:t.platform_cert ~report_sig;
-  }
-
-let sign_with_session t (session : Trust_module.session) payload =
-  match Hashtbl.find_opt t.sessions (Crypto.Rsa.fingerprint session.public) with
-  | None -> None
-  | Some kp -> Some (Crypto.Rsa.sign kp.Crypto.Rsa.secret payload)
-
-let end_session t (session : Trust_module.session) =
-  Hashtbl.remove t.sessions (Crypto.Rsa.fingerprint session.public)
-
-let quote_batch t session ~root ~nonce =
-  sign_with_session t session (Trust_module.batch_quote_payload ~root ~nonce)
-
-let sign_identity t msg = Crypto.Rsa.sign t.platform.Crypto.Rsa.secret msg
-let decrypt_identity t cipher = Crypto.Rsa.decrypt t.platform.Crypto.Rsa.secret cipher
+let create ?key_bits ?num_registers ?num_pcrs ~root ~seed () =
+  Backend.create ?key_bits ?num_registers ?num_pcrs ~root Backend.Cvm_report ~seed ()

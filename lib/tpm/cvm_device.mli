@@ -1,15 +1,8 @@
-(** CVM hardware-report device (SEV-SNP / TDX class).
+(** The CVM hardware-report device: {!Backend.create} of kind
+    [Cvm_report], its platform key endorsed by [root].
 
-    Carries a fused platform key endorsed by a {!Platform_root} at
-    "manufacture" time.  {!begin_session} mints a firmware report key whose
-    wire endorsement is the full two-link chain
-    (vendor root → platform key → report key), so a verifier needs only the
-    vendor root public key — the cloud operator and its Privacy CA stay
-    outside the TCB.
-
-    The state is fused: not serializable, binding epoch pinned at 0. *)
-
-type t
+    Kept for [perf/], which builds its devices through this module; the
+    rest of the repository calls {!Backend.create}. *)
 
 val create :
   ?key_bits:int ->
@@ -18,32 +11,4 @@ val create :
   root:Platform_root.t ->
   seed:string ->
   unit ->
-  t
-(** The vendor [root] endorses the freshly fused platform key once, here.
-    DRBG seeded from ["cvm-device|" ^ seed]. *)
-
-val identity_public : t -> Crypto.Rsa.public
-(** The platform key — the machine's hardware identity. *)
-
-val platform_cert : t -> string
-(** The vendor-root endorsement over {!identity_public}. *)
-
-val pcrs : t -> Pcr.t
-val random_nonce : t -> string
-val drbg : t -> Crypto.Drbg.t
-
-val num_registers : t -> int
-val read_registers : t -> int array
-val write_register : t -> int -> int -> unit
-val add_register : t -> int -> int -> unit
-val clear_registers : t -> unit
-
-val begin_session : t -> Trust_module.session
-(** The session endorsement is a {!Platform_root.encode_chain} string. *)
-
-val sign_with_session : t -> Trust_module.session -> string -> string option
-val end_session : t -> Trust_module.session -> unit
-val quote_batch : t -> Trust_module.session -> root:string -> nonce:string -> string option
-
-val sign_identity : t -> string -> string
-val decrypt_identity : t -> string -> string option
+  Backend.t

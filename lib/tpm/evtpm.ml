@@ -1,160 +1,2 @@
-(* Ephemeral vTPM: a software trust module living inside the measured
-   domain of a confidential VM (the e-vTPM model).  Unlike the classic
-   hardware module its whole state — identity key, evidence registers,
-   PCR bank — is serializable, because it IS part of the attested image.
-   The price of that mobility is an explicit binding discipline: every
-   endorsement carries the module's binding epoch, and restoring saved
-   state (migration, suspend/resume, or a clone) marks the module STALE.
-   A stale module keeps quoting, but its endorsements say so on the wire,
-   and the Privacy CA refuses to certify them until the operator
-   re-registers the module ([rebind]), which bumps the epoch. *)
-
-type t = {
-  mutable identity : Crypto.Rsa.keypair;
-  drbg : Crypto.Drbg.t; (* device-local entropy; never part of saved state *)
-  mutable registers : int array;
-  pcrs : Pcr.t;
-  key_bits : int;
-  sessions : (string, Crypto.Rsa.keypair) Hashtbl.t;
-  mutable epoch : int;
-  mutable stale : bool;
-}
-
-let create ?(key_bits = 1024) ?(num_registers = 64) ?(num_pcrs = 16) ~seed () =
-  let drbg = Crypto.Drbg.create ~seed:("evtpm|" ^ seed) in
-  {
-    identity = Crypto.Rsa.generate drbg ~bits:key_bits;
-    drbg;
-    registers = Array.make num_registers 0;
-    pcrs = Pcr.create ~count:num_pcrs;
-    key_bits;
-    sessions = Hashtbl.create 4;
-    epoch = 0;
-    stale = false;
-  }
-
-let identity_public t = t.identity.Crypto.Rsa.public
-let pcrs t = t.pcrs
-let random_nonce t = Crypto.Drbg.nonce t.drbg
-let drbg t = t.drbg
-let binding_epoch t = t.epoch
-let stale t = t.stale
-
-let num_registers t = Array.length t.registers
-let read_registers t = Array.copy t.registers
-
-let check t i =
-  if i < 0 || i >= Array.length t.registers then
-    invalid_arg "Evtpm: register index out of range"
-
-let write_register t i v =
-  check t i;
-  t.registers.(i) <- v
-
-let add_register t i v =
-  check t i;
-  t.registers.(i) <- t.registers.(i) + v
-
-let clear_registers t = Array.fill t.registers 0 (Array.length t.registers) 0
-
-(* The epoch (and, after a restore, the stale marker) is baked into the
-   bytes SKs signs, so a verifier cannot be talked into accepting a
-   session key minted from un-rebound state: the endorsement itself
-   confesses. *)
-let endorsement_payload ~epoch ~stale pub =
-  Printf.sprintf "evtpm-endorsement|epoch=%d|%s%s" epoch
-    (if stale then "stale|" else "")
-    (Crypto.Rsa.public_to_string pub)
-
-let begin_session t =
-  let kp = Crypto.Rsa.generate t.drbg ~bits:t.key_bits in
-  Hashtbl.replace t.sessions (Crypto.Rsa.fingerprint kp.Crypto.Rsa.public) kp;
-  {
-    Trust_module.public = kp.Crypto.Rsa.public;
-    endorsement =
-      Crypto.Rsa.sign t.identity.Crypto.Rsa.secret
-        (endorsement_payload ~epoch:t.epoch ~stale:t.stale kp.Crypto.Rsa.public);
-  }
-
-let sign_with_session t (session : Trust_module.session) payload =
-  match Hashtbl.find_opt t.sessions (Crypto.Rsa.fingerprint session.public) with
-  | None -> None
-  | Some kp -> Some (Crypto.Rsa.sign kp.Crypto.Rsa.secret payload)
-
-let end_session t (session : Trust_module.session) =
-  Hashtbl.remove t.sessions (Crypto.Rsa.fingerprint session.public)
-
-let quote_batch t session ~root ~nonce =
-  sign_with_session t session (Trust_module.batch_quote_payload ~root ~nonce)
-
-let sign_identity t msg = Crypto.Rsa.sign t.identity.Crypto.Rsa.secret msg
-let decrypt_identity t cipher = Crypto.Rsa.decrypt t.identity.Crypto.Rsa.secret cipher
-
-(* --- Serializable state --------------------------------------------------- *)
-
-let state_magic = "cm-evtpm-state/1"
-
-(* The saved image carries the identity secret as a plain (n, e, d) triple;
-   a reconstituted secret loses its CRT acceleration but produces the same
-   bytes (see Crypto.Rsa).  The stale flag is NOT part of the state: it is
-   the act of restoring, not the bytes restored, that demands a rebind. *)
-let save_state t =
-  let pub = t.identity.Crypto.Rsa.public in
-  Ok
-    (Wire.Codec.encode (fun e ->
-         Wire.Codec.Enc.str e state_magic;
-         Wire.Codec.Enc.int e t.epoch;
-         Wire.Codec.Enc.int e t.key_bits;
-         Wire.Codec.Enc.str e (Crypto.Rsa.public_to_string pub);
-         Wire.Codec.Enc.str e (Crypto.Bignum.to_hex t.identity.Crypto.Rsa.secret.Crypto.Rsa.d);
-         Wire.Codec.Enc.list e (Wire.Codec.Enc.int e) (Array.to_list t.registers);
-         Wire.Codec.Enc.list e (Wire.Codec.Enc.str e) (Array.to_list (Pcr.snapshot t.pcrs))))
-
-let restore_state t blob =
-  let parsed =
-    Wire.Codec.decode_opt blob (fun d ->
-        let magic = Wire.Codec.Dec.str d in
-        if not (String.equal magic state_magic) then
-          raise (Wire.Codec.Error "not an evtpm state image");
-        let epoch = Wire.Codec.Dec.int d in
-        let key_bits = Wire.Codec.Dec.int d in
-        let pub_s = Wire.Codec.Dec.str d in
-        let d_hex = Wire.Codec.Dec.str d in
-        let registers = Wire.Codec.Dec.list d Wire.Codec.Dec.int in
-        let pcr_values = Wire.Codec.Dec.list d Wire.Codec.Dec.str in
-        (epoch, key_bits, pub_s, d_hex, registers, pcr_values))
-  in
-  match parsed with
-  | None -> Error "malformed evtpm state image"
-  | Some (epoch, key_bits, pub_s, d_hex, registers, pcr_values) -> (
-      match Crypto.Rsa.public_of_string pub_s with
-      | None -> Error "evtpm state image: bad identity key"
-      | Some pub ->
-          if key_bits <> t.key_bits then
-            Error
-              (Printf.sprintf "evtpm state image: key size %d does not fit device (%d)"
-                 key_bits t.key_bits)
-          else if List.length registers <> Array.length t.registers then
-            Error "evtpm state image: register bank size mismatch"
-          else begin
-            match Pcr.load t.pcrs (Array.of_list pcr_values) with
-            | Error why -> Error why
-            | Ok () ->
-                let d =
-                  try Crypto.Bignum.of_hex d_hex
-                  with Invalid_argument _ -> Crypto.Bignum.of_int 0
-                in
-                let secret = { Crypto.Rsa.pub; d; crt = None } in
-                t.identity <- { Crypto.Rsa.public = pub; secret };
-                t.registers <- Array.of_list registers;
-                t.epoch <- epoch;
-                (* Session secrets never survive a migration. *)
-                Hashtbl.reset t.sessions;
-                t.stale <- true;
-                Ok ()
-          end)
-
-let rebind t =
-  t.epoch <- t.epoch + 1;
-  t.stale <- false;
-  t.epoch
+let create ?key_bits ?num_registers ?num_pcrs ~seed () =
+  Backend.create ?key_bits ?num_registers ?num_pcrs Backend.Evtpm ~seed ()

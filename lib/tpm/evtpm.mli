@@ -1,68 +1,7 @@
-(** Ephemeral vTPM — a migratable software trust module (e-vTPM model).
+(** The ephemeral vTPM: {!Backend.create} of kind [Evtpm].
 
-    The module state (identity key, evidence registers, PCR bank, binding
-    epoch) is serializable because a vTPM lives {e inside} the attested
-    image.  Mobility is governed by an explicit binding discipline:
+    Kept for [perf/], which builds its devices through this module; the
+    rest of the repository calls {!Backend.create}. *)
 
-    - every session-key endorsement embeds the current {e binding epoch},
-    - {!restore_state} (migrate, suspend/resume, clone) marks the module
-      {e stale}; a stale module still quotes, but its endorsements carry a
-      stale marker so no verifier certifies them,
-    - {!rebind} — the explicit re-registration step with the Privacy CA —
-      bumps the epoch and clears staleness.
-
-    A quote minted from restored-but-not-rebound state must therefore never
-    verify as Healthy anywhere downstream. *)
-
-type t
-
-val create : ?key_bits:int -> ?num_registers:int -> ?num_pcrs:int -> seed:string -> unit -> t
-(** Same defaults as {!Trust_module.create}; the DRBG is seeded from
-    ["evtpm|" ^ seed] so an Evtpm never shares a key stream with a classic
-    module built from the same seed. *)
-
-val identity_public : t -> Crypto.Rsa.public
-val pcrs : t -> Pcr.t
-val random_nonce : t -> string
-val drbg : t -> Crypto.Drbg.t
-
-val binding_epoch : t -> int
-(** Starts at 0; bumped only by {!rebind}. *)
-
-val stale : t -> bool
-(** True from {!restore_state} until the next {!rebind}. *)
-
-val num_registers : t -> int
-val read_registers : t -> int array
-val write_register : t -> int -> int -> unit
-val add_register : t -> int -> int -> unit
-val clear_registers : t -> unit
-
-val endorsement_payload : epoch:int -> stale:bool -> Crypto.Rsa.public -> string
-(** The exact bytes the identity key signs to endorse a session key; the
-    epoch and stale marker are inside the signed bytes, so a verifier
-    reconstructing the payload learns the module's binding status. *)
-
-val begin_session : t -> Trust_module.session
-val sign_with_session : t -> Trust_module.session -> string -> string option
-val end_session : t -> Trust_module.session -> unit
-val quote_batch : t -> Trust_module.session -> root:string -> nonce:string -> string option
-
-val sign_identity : t -> string -> string
-val decrypt_identity : t -> string -> string option
-
-val save_state : t -> (string, string) result
-(** Serialize the full module state (epoch, identity keypair, registers,
-    PCR snapshot).  The stale flag is not part of the image: restoring is
-    what makes state stale. *)
-
-val restore_state : t -> string -> (unit, string) result
-(** Replace this module's state with a saved image and mark the module
-    stale.  Open sessions are dropped.  Fails without touching the module
-    on a malformed image or a geometry mismatch (key size, register
-    count, PCR count). *)
-
-val rebind : t -> int
-(** Re-registration: bump the binding epoch, clear staleness, return the
-    new epoch.  The caller must mirror the new epoch to the Privacy CA
-    for certification to resume. *)
+val create :
+  ?key_bits:int -> ?num_registers:int -> ?num_pcrs:int -> seed:string -> unit -> Backend.t

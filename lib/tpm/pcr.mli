@@ -6,8 +6,6 @@
 
 type t
 
-val digest_size : int (** 32 bytes *)
-
 val create : count:int -> t
 (** All registers start as 32 zero bytes. *)
 

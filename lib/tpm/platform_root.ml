@@ -5,19 +5,17 @@
    key.  A verifier holding only the vendor root public key can check the
    whole chain, keeping the operator (and its Privacy CA) outside the TCB. *)
 
-type t = { key : Crypto.Rsa.keypair; name : string }
+type t = Crypto.Rsa.keypair
 
 let create ?(bits = 1024) ~seed () =
-  let drbg = Crypto.Drbg.create ~seed:("platform-root|" ^ seed) in
-  { key = Crypto.Rsa.generate drbg ~bits; name = "platform-root" }
+  Crypto.Rsa.generate (Crypto.Drbg.create ~seed:("platform-root|" ^ seed)) ~bits
 
-let name t = t.name
-let public t = t.key.Crypto.Rsa.public
+let public (t : t) = t.public
 
 let platform_key_payload pub = "cvm-platform-key|" ^ Crypto.Rsa.public_to_string pub
 let report_key_payload pub = "cvm-report-key|" ^ Crypto.Rsa.public_to_string pub
 
-let endorse_platform t pub = Crypto.Rsa.sign t.key.Crypto.Rsa.secret (platform_key_payload pub)
+let endorse_platform (t : t) pub = Crypto.Rsa.sign t.secret (platform_key_payload pub)
 
 (* --- The endorsement chain carried on the wire ---------------------------- *)
 

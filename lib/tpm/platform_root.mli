@@ -1,4 +1,5 @@
-(** Hardware vendor root of trust for {!Cvm_device} attestation.
+(** Hardware vendor root of trust for CVM ({!Backend.kind} [Cvm_report])
+    attestation.
 
     In the CVM threat model the cloud operator sits outside the TCB: a
     verifier trusts only this vendor root, which endorsed each machine's
@@ -13,11 +14,7 @@ val create : ?bits:int -> seed:string -> unit -> t
 (** DRBG seeded from ["platform-root|" ^ seed]; independent of every other
     key stream in a simulation built from the same seed. *)
 
-val name : t -> string
 val public : t -> Crypto.Rsa.public
-
-val platform_key_payload : Crypto.Rsa.public -> string
-(** Bytes the vendor root signs to endorse a platform key. *)
 
 val report_key_payload : Crypto.Rsa.public -> string
 (** Bytes a platform key signs to endorse a per-session report key. *)
@@ -26,10 +23,8 @@ val endorse_platform : t -> Crypto.Rsa.public -> string
 (** The manufacture-time certificate over a machine's platform key. *)
 
 val encode_chain : platform:Crypto.Rsa.public -> cert:string -> report_sig:string -> string
-(** Pack (platform key, root cert, report-key signature) into the wire
+(** Encode (platform key, root cert, report-key signature) as the wire
     endorsement string. *)
-
-val decode_chain : string -> (Crypto.Rsa.public * string * string) option
 
 val verify_chain : root:Crypto.Rsa.public -> endorsement:string -> key:Crypto.Rsa.public -> bool
 (** Check both links: the vendor [root] endorsed the platform key inside

@@ -1,65 +1,2 @@
-type t = {
-  identity : Crypto.Rsa.keypair;
-  drbg : Crypto.Drbg.t;
-  registers : int array;
-  pcrs : Pcr.t;
-  key_bits : int;
-  sessions : (string, Crypto.Rsa.keypair) Hashtbl.t; (* fingerprint -> keypair *)
-}
-
-let create ?(key_bits = 1024) ?(num_registers = 64) ?(num_pcrs = 16) ~seed () =
-  let drbg = Crypto.Drbg.create ~seed:("trust-module|" ^ seed) in
-  {
-    identity = Crypto.Rsa.generate drbg ~bits:key_bits;
-    drbg;
-    registers = Array.make num_registers 0;
-    pcrs = Pcr.create ~count:num_pcrs;
-    key_bits;
-    sessions = Hashtbl.create 4;
-  }
-
-let identity_public t = t.identity.public
-let pcrs t = t.pcrs
-let random_nonce t = Crypto.Drbg.nonce t.drbg
-let drbg t = t.drbg
-
-let num_registers t = Array.length t.registers
-let read_registers t = Array.copy t.registers
-
-let check t i =
-  if i < 0 || i >= Array.length t.registers then
-    invalid_arg "Trust_module: register index out of range"
-
-let write_register t i v =
-  check t i;
-  t.registers.(i) <- v
-
-let add_register t i v =
-  check t i;
-  t.registers.(i) <- t.registers.(i) + v
-
-let clear_registers t = Array.fill t.registers 0 (Array.length t.registers) 0
-
-type session = { public : Crypto.Rsa.public; endorsement : string }
-
-let endorsement_payload pub = "attestation-key-endorsement|" ^ Crypto.Rsa.public_to_string pub
-
-let begin_session t =
-  let kp = Crypto.Rsa.generate t.drbg ~bits:t.key_bits in
-  Hashtbl.replace t.sessions (Crypto.Rsa.fingerprint kp.public) kp;
-  { public = kp.public; endorsement = Crypto.Rsa.sign t.identity.secret (endorsement_payload kp.public) }
-
-let sign_with_session t session payload =
-  match Hashtbl.find_opt t.sessions (Crypto.Rsa.fingerprint session.public) with
-  | None -> None
-  | Some kp -> Some (Crypto.Rsa.sign kp.secret payload)
-
-let end_session t session = Hashtbl.remove t.sessions (Crypto.Rsa.fingerprint session.public)
-
-let batch_quote_payload ~root ~nonce = "batch-quote|" ^ root ^ "|" ^ nonce
-
-let quote_batch t session ~root ~nonce =
-  sign_with_session t session (batch_quote_payload ~root ~nonce)
-
-let sign_identity t msg = Crypto.Rsa.sign t.identity.secret msg
-let decrypt_identity t cipher = Crypto.Rsa.decrypt t.identity.secret cipher
+let create ?key_bits ?num_registers ?num_pcrs ~seed () =
+  Backend.create ?key_bits ?num_registers ?num_pcrs Backend.Classic ~seed ()

@@ -1,80 +1,7 @@
-(** The paper's hardware Trust Module (Figure 2).
+(** The classic Trust Module: {!Backend.create} of kind [Classic].
 
-    Per secure cloud server it provides:
-    - a long-term identity keypair [{VKs, SKs}]; the private half never
-      leaves the module,
-    - a key generator that mints a fresh per-attestation session keypair
-      [{AVKs, ASKs}], endorsing [AVKs] with [SKs] for the privacy CA,
-    - a random-number generator,
-    - Trust Evidence Registers: programmable counters that the Monitor
-      Module loads with security measurements (e.g. the 30 CPU-burst
-      interval bins of section 4.4.2),
-    - a PCR bank for hash-chained integrity measurements, and
-    - a crypto engine that signs measurement payloads with the session key.
-*)
+    Kept for [perf/], which builds its devices through this module; the
+    rest of the repository calls {!Backend.create}. *)
 
-type t
-
-val create : ?key_bits:int -> ?num_registers:int -> ?num_pcrs:int -> seed:string -> unit -> t
-(** Defaults: 1024-bit keys, 64 evidence registers, 16 PCRs.  [seed] feeds
-    the module's DRBG, keeping simulations reproducible. *)
-
-val identity_public : t -> Crypto.Rsa.public
-(** [VKs], used by the privacy CA to authenticate endorsements. *)
-
-val pcrs : t -> Pcr.t
-
-val random_nonce : t -> string
-(** 16 fresh bytes from the module RNG. *)
-
-val drbg : t -> Crypto.Drbg.t
-
-(** {2 Trust Evidence Registers} *)
-
-val num_registers : t -> int
-
-val read_registers : t -> int array
-(** A copy of the full bank. *)
-
-val write_register : t -> int -> int -> unit
-val add_register : t -> int -> int -> unit
-val clear_registers : t -> unit
-
-(** {2 Per-attestation session keys} *)
-
-type session = {
-  public : Crypto.Rsa.public;  (** AVKs *)
-  endorsement : string;  (** [AVKs]SKs — signature binding AVKs to this module *)
-}
-
-val begin_session : t -> session
-(** Generate a fresh [{AVKs, ASKs}]; the secret half stays inside. *)
-
-val sign_with_session : t -> session -> string -> string option
-(** Sign a payload with the session's [ASKs].  [None] if the session is
-    unknown (e.g. already ended). *)
-
-val end_session : t -> session -> unit
-(** Forget the session secret. *)
-
-val quote_batch : t -> session -> root:string -> nonce:string -> string option
-(** Sign one Merkle root covering a whole batch of measurement reports —
-    a single signature (and a single session keypair) regardless of batch
-    size, which is what amortizes the Trust Module off the hot path.
-    [None] if the session is unknown. *)
-
-val batch_quote_payload : root:string -> nonce:string -> string
-(** The exact bytes {!quote_batch} signs, exposed for verifiers. *)
-
-val endorsement_payload : Crypto.Rsa.public -> string
-(** The exact bytes [SKs] signs to endorse a session public key; exposed so
-    verifiers (the privacy CA) can reconstruct them. *)
-
-(** {2 Identity-key operations} *)
-
-val sign_identity : t -> string -> string
-(** Sign with [SKs] itself — used only for channel authentication, never for
-    measurement payloads (which would link them to the server identity). *)
-
-val decrypt_identity : t -> string -> string option
-(** RSA-decrypt with [SKs] (secure-channel premaster secrets). *)
+val create :
+  ?key_bits:int -> ?num_registers:int -> ?num_pcrs:int -> seed:string -> unit -> Backend.t

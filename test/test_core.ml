@@ -78,10 +78,10 @@ let test_ledger () =
 
 let test_privacy_ca () =
   let pca = Privacy_ca.create ~seed:"pca" ~bits:512 () in
-  let tm = Tpm.Trust_module.create ~key_bits:512 ~seed:"srv" () in
-  Privacy_ca.enroll_server pca ~name:"server-1" (Tpm.Trust_module.identity_public tm);
+  let tm = Tpm.Backend.create Tpm.Backend.Classic ~key_bits:512 ~seed:"srv" () in
+  Privacy_ca.enroll_server pca ~name:"server-1" (Tpm.Backend.identity_public tm);
   Alcotest.(check (list string)) "enrolled" [ "server-1" ] (Privacy_ca.enrolled pca);
-  let session = Tpm.Trust_module.begin_session tm in
+  let session = Tpm.Backend.begin_session tm in
   (match
      Privacy_ca.certify_attestation_key pca ~key:session.public
        ~endorsement:session.endorsement
@@ -93,8 +93,8 @@ let test_privacy_ca () =
       Alcotest.(check bool) "cert checks" true
         (Privacy_ca.check_certificate ~pca:(Privacy_ca.public pca) cert ~key:session.public));
   (* An unenrolled module's endorsement is refused. *)
-  let rogue = Tpm.Trust_module.create ~key_bits:512 ~seed:"rogue" () in
-  let rogue_session = Tpm.Trust_module.begin_session rogue in
+  let rogue = Tpm.Backend.create Tpm.Backend.Classic ~key_bits:512 ~seed:"rogue" () in
+  let rogue_session = Tpm.Backend.begin_session rogue in
   match
     Privacy_ca.certify_attestation_key pca ~key:rogue_session.public
       ~endorsement:rogue_session.endorsement
@@ -104,10 +104,10 @@ let test_privacy_ca () =
 
 let test_privacy_ca_mismatched_key () =
   let pca = Privacy_ca.create ~seed:"pca2" ~bits:512 () in
-  let tm = Tpm.Trust_module.create ~key_bits:512 ~seed:"srv2" () in
-  Privacy_ca.enroll_server pca ~name:"s" (Tpm.Trust_module.identity_public tm);
-  let s1 = Tpm.Trust_module.begin_session tm in
-  let s2 = Tpm.Trust_module.begin_session tm in
+  let tm = Tpm.Backend.create Tpm.Backend.Classic ~key_bits:512 ~seed:"srv2" () in
+  Privacy_ca.enroll_server pca ~name:"s" (Tpm.Backend.identity_public tm);
+  let s1 = Tpm.Backend.begin_session tm in
+  let s2 = Tpm.Backend.begin_session tm in
   (* Endorsement of key 1 does not certify key 2. *)
   match Privacy_ca.certify_attestation_key pca ~key:s2.public ~endorsement:s1.endorsement with
   | Error `Unknown_server -> ()
@@ -224,9 +224,9 @@ let test_quotes_differ () =
    under a single Merkle root, one session signature over root||N3. *)
 let build_batch () =
   let pca = Privacy_ca.create ~seed:"pca-batch" ~bits:512 () in
-  let tm = Tpm.Trust_module.create ~key_bits:512 ~seed:"batch-srv" () in
-  Privacy_ca.enroll_server pca ~name:"server-1" (Tpm.Trust_module.identity_public tm);
-  let session = Tpm.Trust_module.begin_session tm in
+  let tm = Tpm.Backend.create Tpm.Backend.Classic ~key_bits:512 ~seed:"batch-srv" () in
+  Privacy_ca.enroll_server pca ~name:"server-1" (Tpm.Backend.identity_public tm);
+  let session = Tpm.Backend.begin_session tm in
   let cert =
     match
       Privacy_ca.certify_attestation_key pca ~key:session.public
@@ -262,7 +262,7 @@ let build_batch () =
       Protocol.br_items = items;
       br_nonce = nonce;
       br_root = root;
-      br_signature = Option.get (Tpm.Trust_module.quote_batch tm session ~root ~nonce);
+      br_signature = Option.get (Tpm.Backend.quote_batch tm session ~root ~nonce);
       br_avk = Crypto.Rsa.public_to_string session.public;
       br_endorsement = session.endorsement;
     }
@@ -349,13 +349,13 @@ let stale_vtpm_as ~echo =
   let net = Net.Network.create ~seed:7 () in
   let ca = Net.Ca.create ~seed:"stale" ~bits:512 ~name:"root" () in
   let pca = Privacy_ca.create ~seed:"stale" ~bits:512 () in
-  let dev = Tpm.Evtpm.create ~key_bits:512 ~seed:"stale-vtpm" () in
-  Privacy_ca.enroll_evtpm pca ~name:"server-1" (Tpm.Evtpm.identity_public dev) ~epoch:0;
-  Result.get_ok (Tpm.Evtpm.restore_state dev (Result.get_ok (Tpm.Evtpm.save_state dev)));
+  let dev = Tpm.Backend.create Tpm.Backend.Evtpm ~key_bits:512 ~seed:"stale-vtpm" () in
+  Privacy_ca.enroll_evtpm pca ~name:"server-1" (Tpm.Backend.identity_public dev) ~epoch:0;
+  Result.get_ok (Tpm.Backend.restore_state dev (Result.get_ok (Tpm.Backend.save_state dev)));
   let measure plaintext =
-    let session = Tpm.Evtpm.begin_session dev in
-    let avk = Crypto.Rsa.public_to_string session.Tpm.Trust_module.public in
-    let endorsement = session.Tpm.Trust_module.endorsement in
+    let session = Tpm.Backend.begin_session dev in
+    let avk = Crypto.Rsa.public_to_string session.Tpm.Backend.public in
+    let endorsement = session.Tpm.Backend.endorsement in
     match Protocol.decode_batch_measure_request plaintext with
     | Some bm ->
         (* A stale batch is judged on its envelope alone; items are only counted. *)
@@ -367,7 +367,7 @@ let stale_vtpm_as ~echo =
         Protocol.encode_batch_measure_response
           { Protocol.br_items = List.map item bm.Protocol.bm_items; br_nonce = nonce;
             br_root = root;
-            br_signature = Option.get (Tpm.Evtpm.quote_batch dev session ~root ~nonce);
+            br_signature = Option.get (Tpm.Backend.quote_batch dev session ~root ~nonce);
             br_avk = avk; br_endorsement = endorsement }
     | None ->
         let req = Option.get (Protocol.decode_measure_request plaintext) in
@@ -379,7 +379,10 @@ let stale_vtpm_as ~echo =
         in
         let payload = Protocol.measure_response_payload unsigned in
         Protocol.encode_measure_response
-          { unsigned with signature = Option.get (Tpm.Evtpm.sign_with_session dev session payload) }
+          {
+            unsigned with
+            signature = Option.get (Tpm.Backend.sign_with_session dev session payload);
+          }
   in
   let on_request ~peer:_ plaintext =
     Wire.Codec.encode (fun e -> Wire.Codec.Enc.u8 e 1; Wire.Codec.Enc.str e (measure plaintext))

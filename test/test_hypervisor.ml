@@ -552,27 +552,27 @@ let test_server_detach () =
 
 let test_server_measured_boot () =
   let _, server = make_server () in
-  (match Server.trust_module server with
+  (match Server.trust_backend server with
   | None -> Alcotest.fail "secure server has a trust module"
   | Some tm ->
       Alcotest.(check string) "pristine boot matches golden"
         Server.golden_platform_measurement
-        (Tpm.Pcr.composite (Tpm.Trust_module.pcrs tm) [ 0; 1 ]));
+        (Tpm.Pcr.composite (Tpm.Backend.pcrs tm) [ 0; 1 ]));
   let engine2 = Sim.Engine.create () in
   let corrupted =
     Server.create ~engine:engine2 ~name:"bad" ~platform:Server.corrupted_platform
       ~key_bits:512 ~seed:"t" ()
   in
-  match Server.trust_module corrupted with
+  match Server.trust_backend corrupted with
   | None -> Alcotest.fail "trust module expected"
   | Some tm ->
       Alcotest.(check bool) "corrupted boot differs" false
         (String.equal Server.golden_platform_measurement
-           (Tpm.Pcr.composite (Tpm.Trust_module.pcrs tm) [ 0; 1 ]))
+           (Tpm.Pcr.composite (Tpm.Backend.pcrs tm) [ 0; 1 ]))
 
 let test_server_insecure_has_no_tm () =
   let _, server = make_server ~secure:false () in
-  Alcotest.(check bool) "no trust module" true (Server.trust_module server = None);
+  Alcotest.(check bool) "no trust module" true (Server.trust_backend server = None);
   Alcotest.(check bool) "not secure" false (Server.is_secure server);
   Alcotest.(check (list string)) "no capabilities" [] (Server.capabilities server)
 

@@ -220,12 +220,12 @@ let test_kernel_loads_registers () =
   let kernel = Monitor_kernel.create server in
   Sim.Engine.run_until engine (Sim.Time.sec 3);
   ignore (Monitor_kernel.collect kernel ~vid:"v1" [ Measurement.Cpu_time (Sim.Time.sec 1) ]);
-  match Hypervisor.Server.trust_module server with
+  match Hypervisor.Server.trust_backend server with
   | None -> Alcotest.fail "trust module expected"
   | Some tm ->
       (* Register 30 holds the CPU measure (paper 4.5.2). *)
       Alcotest.(check bool) "register 30 loaded" true
-        ((Tpm.Trust_module.read_registers tm).(30) > 0)
+        ((Tpm.Backend.read_registers tm).(30) > 0)
 
 let test_kernel_intrusion_pause () =
   let _, server, _ = make_rig () in

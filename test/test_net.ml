@@ -247,7 +247,7 @@ let test_network_retry_blackout_terminates () =
   Net.Network.set_adversary net (Net.Fault.blackout ());
   let r, elapsed = Net.Network.call_with_retry net ~src:"c" ~dst:"s" "hi" in
   Alcotest.(check bool) "gives up with Dropped" true (r = Error `Dropped);
-  (match (Net.Network.retry_policy net).Net.Network.deadline with
+  (match Net.Network.default_retry_policy.Net.Network.deadline with
   | Some d -> Alcotest.(check bool) "bounded by deadline" true (elapsed <= d)
   | None -> ());
   Alcotest.(check int) "bounded attempts" 4 (Net.Network.drop_count net)
