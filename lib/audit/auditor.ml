@@ -18,9 +18,6 @@ type evidence = {
   at : Sim.Time.t;
 }
 
-let pp_evidence ppf e =
-  Format.fprintf ppf "[%a] %s: %a (%s)" Sim.Time.pp e.at e.log_id pp_kind e.kind e.detail
-
 type log_state = {
   mutable trusted : Sth.t option;
   mutable pending : Sth.t list; (* gossiped heads awaiting a consistency check *)

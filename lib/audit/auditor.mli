@@ -72,4 +72,3 @@ val evidence_count : t -> int
 val proofs_checked : t -> int
 
 val pp_kind : Format.formatter -> kind -> unit
-val pp_evidence : Format.formatter -> evidence -> unit

@@ -32,8 +32,8 @@
    violation is turned into a concrete attack: the forged or replayed
    message together with its [Deduction.prove] derivation. *)
 
-module T = Verifier.Term
-module D = Verifier.Deduction
+module T = Term
+module D = Deduction
 
 type outcome = Holds | Violated of string
 

@@ -20,8 +20,8 @@ val check_ids : string list
 type attack = {
   check_id : string;
   description : string;
-  message : Verifier.Term.t;  (** the accepting forged/replayed term *)
-  proof : Verifier.Deduction.proof;  (** how the attacker assembles it *)
+  message : Term.t;  (** the accepting forged/replayed term *)
+  proof : Deduction.proof;  (** how the attacker assembles it *)
 }
 
 type report = {

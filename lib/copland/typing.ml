@@ -74,4 +74,3 @@ let check ctx phrase =
   in
   go ~deleg:None ~layer:None phrase
 
-let well_typed ctx phrase = Result.is_ok (check ctx phrase)

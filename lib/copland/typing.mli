@@ -25,6 +25,5 @@ type error =
   | Host_mismatch of { slot : int; layer_slot : int }
 
 val check : ctx -> Phrase.t -> (unit, error) result
-val well_typed : ctx -> Phrase.t -> bool
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string

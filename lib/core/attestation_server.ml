@@ -22,18 +22,12 @@ type history_entry = {
 
 type t = {
   name : string;
-  net : Net.Network.t;
-  ca_public : Crypto.Rsa.public;
   pca : Privacy_ca.t;
   identity : Net.Secure_channel.Identity.t;
   drbg : Crypto.Drbg.t;
   refs : Interpret.refs;
   mutable vm_image_lookup : string -> string option;
-  channels : (string, Net.Secure_channel.Client.t) Hashtbl.t;
-  (* Where cached channels charge wire time: rebound to the live ledger at
-     the start of every [attest], so retries in later rounds are not
-     accounted to the round that happened to open the channel. *)
-  net_ledger : Ledger.t ref;
+  hop : Hop.t;  (* cached channels to the cloud servers' attestation clients *)
   mutable history : history_entry list; (* newest first *)
   mutable count : int;
   mutable degraded : int;
@@ -53,17 +47,20 @@ type t = {
 }
 
 let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-server") () =
+  let identity =
+    Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|as") ~bits:key_bits ~name ()
+  in
   {
     name;
-    net;
-    ca_public = Net.Ca.public ca;
     pca;
-    identity = Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|as") ~bits:key_bits ~name ();
+    identity;
     drbg = Crypto.Drbg.create ~seed:(seed ^ "|as-drbg");
     refs;
     vm_image_lookup = (fun _ -> None);
-    channels = Hashtbl.create 8;
-    net_ledger = ref (Ledger.create ());
+    hop =
+      Hop.create ~net ~identity ~ca:(Net.Ca.public ca)
+        ~seed:(fun server -> name ^ "->" ^ server)
+        ~address:Attestation_client.address_of;
     history = [];
     count = 0;
     degraded = 0;
@@ -95,50 +92,6 @@ let enable_audit t =
       in
       t.audit <- Some log;
       log
-
-let no_such_host_prefix = "no such host"
-
-(* Availability failures — lost messages after all transport retries, or a
-   sequence desync that even a channel reset could not cure — degrade to an
-   [Unknown] verdict.  Anything pointing at an active forgery (bad MACs,
-   bad signatures, garbage replies) or a misconfigured fleet (no such
-   host) stays a hard error: the paper's adversary must never be able to
-   convert a detected attack into a mere "unknown". *)
-let channel_unavailable : Net.Secure_channel.error -> bool = function
-  | `Transport m -> not (String.starts_with ~prefix:no_such_host_prefix m)
-  | e -> Net.Secure_channel.desync e
-
-let availability_failure = function
-  | `Channel e -> channel_unavailable e
-  | `Server_refused _ | `Verification _ | `Uncertified_key | `No_platform_root -> false
-
-(* From-scratch rounds one appraisal may run before it degrades. *)
-let attest_attempts = 2
-
-let transport t ~dst msg =
-  let result, elapsed = Net.Network.call_with_retry t.net ~src:t.name ~dst msg in
-  Ledger.add !(t.net_ledger) "network" elapsed;
-  match result with
-  | Ok r -> Ok r
-  | Error `Dropped -> Error "message dropped"
-  | Error (`No_such_host h) -> Error (no_such_host_prefix ^ ": " ^ h)
-
-let channel_to t ~server ledger =
-  let dst = Attestation_client.address_of server in
-  match Hashtbl.find_opt t.channels server with
-  | Some ch -> Ok ch
-  | None -> (
-      Ledger.add ledger "handshake-crypto" Costs.handshake_crypto;
-      match
-        Net.Secure_channel.Client.connect ~identity:t.identity ~ca:t.ca_public
-          ~seed:(t.name ^ "->" ^ server)
-          ~peer:server
-          ~transport:(transport t ~dst)
-      with
-      | Ok ch ->
-          Hashtbl.replace t.channels server ch;
-          Ok ch
-      | Error e -> Error (`Channel e))
 
 let parse_client_reply raw =
   match
@@ -248,17 +201,14 @@ let trust_gate t ~backend ~n3 ~verify_cost ~envelope (s : Protocol.session) ledg
    [envelope] feed the gate. *)
 let measure t ~server ~request ~decode ~session ~verify_cost ~envelope ledger =
   let backend = t.backend_of server in
-  let* channel = channel_to t ~server ledger in
-  let n3 = Crypto.Drbg.nonce t.drbg in
-  let cost, msg = request ~backend n3 in
-  Ledger.add ledger "server-measure" cost;
-  let* raw =
-    match Net.Secure_channel.Client.call_robust channel msg with
-    | Ok raw -> Ok raw
-    | Error e ->
-        (* A channel that retries and resets could not fix is unusable. *)
-        Hashtbl.remove t.channels server;
-        Error (`Channel e)
+  let* n3, raw =
+    Result.map_error
+      (fun e -> `Channel (Hop.cause e))
+      (Hop.call t.hop ~peer:server ledger (fun () ->
+           let n3 = Crypto.Drbg.nonce t.drbg in
+           let cost, msg = request ~backend n3 in
+           Ledger.add ledger "server-measure" cost;
+           (n3, msg)))
   in
   let* body = parse_client_reply raw in
   let* response = decode body in
@@ -277,38 +227,27 @@ let measure t ~server ~request ~decode ~session ~verify_cost ~envelope ledger =
    customer must see. *)
 let appraise t ~server ~items ~nonce round =
   let ledger = Ledger.create () in
-  t.net_ledger := ledger;
   t.receipts <- [];
   Ledger.add ledger "db-lookup" Costs.db_lookup;
-  let degraded reason (vid, property) =
-    Ok
-      {
-        Report.vid;
-        property;
-        status = Report.Unknown reason;
-        evidence = "no measurements collected";
-        produced_at = t.engine_now ();
-      }
+  let degrade e =
+    t.degraded <- t.degraded + List.length items;
+    let reason =
+      Format.asprintf "attestation path unavailable after %d attempts: %a" Hop.attempts
+        pp_error e
+    in
+    List.map
+      (fun (vid, property) ->
+        let status = Report.Unknown reason and produced_at = t.engine_now () in
+        Ok { Report.vid; property; status; evidence = "no measurements collected"; produced_at })
+      items
   in
-  let rec go attempt =
-    match round ledger with
-    | Error e when availability_failure e ->
-        Hashtbl.remove t.channels server;
-        if attempt < attest_attempts then go (attempt + 1)
-        else begin
-          t.degraded <- t.degraded + List.length items;
-          let reason =
-            Format.asprintf "attestation path unavailable after %d attempts: %a" attempt
-              pp_error e
-          in
-          Ok (List.map (degraded reason) items)
-        end
-    | result -> result
-  in
+  let degradable = function `Channel e -> Hop.unavailable e | _ -> false in
   let sign (vid, property) itemwise =
     (vid, property, Result.map (sign_report t ~vid ~server ~property ~nonce ~ledger) itemwise)
   in
-  (Result.map (List.map2 sign items) (go 1), ledger)
+  ( Result.map (List.map2 sign items)
+      (Hop.retry ~degradable ~degrade (fun () -> round ledger)),
+    ledger )
 
 let requests_raw t property =
   Monitors.Measurement.encode_requests (Interpret.requests_for t.refs property)

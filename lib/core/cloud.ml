@@ -234,8 +234,8 @@ module Customer = struct
     name : string;
     cloud : cloud;
     drbg : Crypto.Drbg.t;
-    mutable channel : Net.Secure_channel.Client.t option;
-    (* (vid, property) -> (subscription nonce, rounds seen, user callback) *)
+    hop : Hop.t;  (* the channel to the controller *)
+    (* (vid, property) -> (subscription nonce, last accepted round, user callback) *)
     subs : (string * string, string * int ref * (Report.t -> unit)) Hashtbl.t;
     mutable periodic_reports : Report.t list; (* newest first *)
     mutable forged : int;
@@ -243,56 +243,26 @@ module Customer = struct
 
   let name t = t.name
 
-  let transport t msg =
-    let result, _elapsed =
-      Net.Network.call_with_retry t.cloud.net ~src:t.name
-        ~dst:(Controller.name t.cloud.controller) msg
-    in
-    match result with
-    | Ok r -> Ok r
-    | Error `Dropped -> Error "message dropped"
-    | Error (`No_such_host h) -> Error ("no such host: " ^ h)
+  let controller t = Controller.name t.cloud.controller
 
-  let channel t =
-    match t.channel with
-    | Some ch -> Ok ch
-    | None -> (
-        let identity =
-          Net.Secure_channel.Identity.make t.cloud.ca
-            ~seed:(t.name ^ "|" ^ string_of_int t.cloud.config.seed)
-            ~bits:t.cloud.config.key_bits ~name:t.name ()
-        in
-        match
-          Net.Secure_channel.Client.connect ~identity ~ca:(Net.Ca.public t.cloud.ca)
-            ~seed:(t.name ^ "|chan")
-            ~peer:(Controller.name t.cloud.controller)
-            ~transport:(transport t)
-        with
-        | Ok ch ->
-            t.channel <- Some ch;
-            Ok ch
-        | Error e -> Error (`Channel e))
-
-  let call t command =
-    let ( let* ) = Result.bind in
-    let* ch = channel t in
-    match Net.Secure_channel.Client.call_robust ch (Commands.encode_command command) with
-    | Error e ->
-        t.channel <- None;
-        Error (`Channel e)
-    | Ok raw -> (
+  (* One command whose reply [expect] must recognise.  The customer keeps
+     no cost ledger: each call's is dropped. *)
+  let request t command expect =
+    match
+      Hop.call t.hop ~peer:(controller t) (Ledger.create ()) (fun () ->
+          ((), Commands.encode_command command))
+    with
+    | Error e -> Error (`Channel (Hop.cause e))
+    | Ok ((), raw) -> (
         match Commands.decode_reply raw with
         | None -> Error (`Cloud "malformed reply")
         | Some (Commands.Err why) -> Error (`Cloud why)
-        | Some reply -> Ok reply)
+        | Some reply -> Option.to_result ~none:(`Cloud "unexpected reply") (expect reply))
 
-  let controller_key t =
-    match t.channel with
-    | Some ch -> Some (Net.Secure_channel.Client.peer_key ch)
-    | None -> None
+  let ack = function Commands.Ok_ack -> Some () | _ -> None
 
   let verify_report t ~vid ~property ~nonce (creport : Protocol.controller_report) =
-    match controller_key t with
+    match Hop.peer_key t.hop ~peer:(controller t) with
     | None -> Error (`Forged "no authenticated controller key")
     | Some key -> (
         match
@@ -303,27 +273,38 @@ module Customer = struct
         | Error e -> Error (`Forged (Format.asprintf "%a" Protocol.pp_verify_error e)))
 
   let create cloud ~name =
+    let identity =
+      Net.Secure_channel.Identity.make cloud.ca
+        ~seed:(name ^ "|" ^ string_of_int cloud.config.seed)
+        ~bits:cloud.config.key_bits ~name ()
+    in
     let t =
       {
         name;
         cloud;
         drbg = Crypto.Drbg.create ~seed:("customer|" ^ name);
-        channel = None;
+        hop =
+          Hop.create ~net:cloud.net ~identity ~ca:(Net.Ca.public cloud.ca)
+            ~seed:(fun _ -> name ^ "|chan")
+            ~address:Fun.id;
         subs = Hashtbl.create 4;
         periodic_reports = [];
         forged = 0;
       }
     in
     (* Periodic results are pushed back through the controller's delivery
-       hook; each is chain-verified against the subscription nonce. *)
-    Controller.subscribe cloud.controller ~owner:name (fun creport ->
+       hook; each is chain-verified against the subscription nonce of its
+       round.  A round the controller failed delivers nothing, so rounds may
+       skip, but never repeat: a report for a round at or below the last
+       accepted one is a replay. *)
+    Controller.subscribe cloud.controller ~owner:name (fun ~round creport ->
         let key =
           (creport.Protocol.vid, Property.to_string creport.Protocol.property)
         in
         match Hashtbl.find_opt t.subs key with
         | None -> t.forged <- t.forged + 1
-        | Some (sub_nonce, rounds, callback) -> (
-            let round = !rounds + 1 in
+        | Some (_, last, _) when round <= !last -> t.forged <- t.forged + 1
+        | Some (sub_nonce, last, callback) -> (
             let expected_nonce =
               Crypto.Sha256.digest (sub_nonce ^ "|" ^ string_of_int round)
             in
@@ -332,34 +313,32 @@ module Customer = struct
                 ~nonce:expected_nonce creport
             with
             | Ok report ->
-                rounds := round;
+                last := round;
                 t.periodic_reports <- report :: t.periodic_reports;
                 callback report
             | Error _ -> t.forged <- t.forged + 1));
     t
 
   let launch t ~image ~flavor ?(properties = []) ?(workload = "idle") () =
-    match call t (Commands.Launch { image; flavor; properties; workload }) with
-    | Ok (Commands.Ok_launch info) -> Ok info
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e -> Error e
+    request t (Commands.Launch { image; flavor; properties; workload }) (function
+      | Commands.Ok_launch info -> Some info
+      | _ -> None)
 
   let attest t ~vid ~property =
     let nonce = Crypto.Drbg.nonce t.drbg in
-    match call t (Commands.Attest_current { Protocol.vid; property; nonce }) with
-    | Ok (Commands.Ok_report creport) -> verify_report t ~vid ~property ~nonce creport
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e -> Error e
+    Result.bind
+      (request t (Commands.Attest_current { Protocol.vid; property; nonce }) (function
+        | Commands.Ok_report creport -> Some creport
+        | _ -> None))
+      (verify_report t ~vid ~property ~nonce)
 
   let attest_periodic_scheduled t ~vid ~property ~schedule ?(on_report = fun _ -> ()) () =
     let nonce = Crypto.Drbg.nonce t.drbg in
-    Hashtbl.replace t.subs (vid, Property.to_string property) (nonce, ref 0, on_report);
-    match call t (Commands.Attest_periodic { vid; property; schedule; nonce }) with
-    | Ok Commands.Ok_ack -> Ok ()
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e ->
-        Hashtbl.remove t.subs (vid, Property.to_string property);
-        Error e
+    let key = (vid, Property.to_string property) in
+    Hashtbl.replace t.subs key (nonce, ref 0, on_report);
+    let result = request t (Commands.Attest_periodic { vid; property; schedule; nonce }) ack in
+    if Result.is_error result then Hashtbl.remove t.subs key;
+    result
 
   let attest_periodic t ~vid ~property ~freq ?on_report () =
     attest_periodic_scheduled t ~vid ~property ~schedule:(Schedule.fixed freq) ?on_report ()
@@ -370,22 +349,14 @@ module Customer = struct
   let stop_periodic t ~vid ~property =
     let nonce = Crypto.Drbg.nonce t.drbg in
     Hashtbl.remove t.subs (vid, Property.to_string property);
-    match call t (Commands.Stop_periodic { vid; property; nonce }) with
-    | Ok Commands.Ok_ack -> Ok ()
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e -> Error e
+    request t (Commands.Stop_periodic { vid; property; nonce }) ack
 
-  let terminate t ~vid =
-    match call t (Commands.Terminate { vid }) with
-    | Ok Commands.Ok_ack -> Ok ()
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e -> Error e
+  let terminate t ~vid = request t (Commands.Terminate { vid }) ack
 
   let describe t ~vid =
-    match call t (Commands.Describe { vid }) with
-    | Ok (Commands.Ok_describe { state; properties }) -> Ok (state, properties)
-    | Ok _ -> Error (`Cloud "unexpected reply")
-    | Error e -> Error e
+    request t (Commands.Describe { vid }) (function
+      | Commands.Ok_describe { state; properties } -> Some (state, properties)
+      | _ -> None)
 
   let periodic_reports t = List.rev t.periodic_reports
   let forged_count t = t.forged

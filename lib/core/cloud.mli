@@ -121,7 +121,10 @@ module Customer : sig
     unit ->
     (unit, error) result
   (** Table 1 [runtime_attest_periodic]: results arrive as the simulation
-      advances; each is chain-verified before [on_report] sees it. *)
+      advances; each is chain-verified, against the nonce of the round it
+      answers and the controller key of the last completed handshake,
+      before [on_report] sees it.  A round the controller could not
+      attest is skipped, not counted as forged. *)
 
   val attest_periodic_random :
     t ->

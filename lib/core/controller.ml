@@ -32,7 +32,6 @@ type t = {
   name : string;
   net : Net.Network.t;
   engine : Sim.Engine.t;
-  ca_public : Crypto.Rsa.public;
   identity : Net.Secure_channel.Identity.t;
   drbg : Crypto.Drbg.t;
   sched_drbg : Crypto.Drbg.t;
@@ -42,15 +41,13 @@ type t = {
      Servers for different clusters, enabling scalability").  Hosts are
      routed to their cluster's AS. *)
   attestation_servers : (string * Crypto.Rsa.public) array;
-  as_channels : (int, Net.Secure_channel.Client.t) Hashtbl.t;
-  (* Live ledger for cached-channel wire time (rebound per [attest]). *)
-  as_ledger : Ledger.t ref;
+  hop : Hop.t;  (* cached channels to the attestation servers *)
   cluster_of : string -> int;  (* host -> AS index *)
   cache : Verdict_cache.t;  (* healthy verdicts, TTL-bounded; 0 = off *)
   hypervisors : (string, Hypervisor.Server.t) Hashtbl.t;
   images : (string, Hypervisor.Image.t) Hashtbl.t;
   workloads : (string, Hypervisor.Flavor.t -> unit -> Hypervisor.Program.t list) Hashtbl.t;
-  subscribers : (string, Protocol.controller_report -> unit) Hashtbl.t;
+  subscribers : (string, round:int -> Protocol.controller_report -> unit) Hashtbl.t;
   periodic : (string * string, bool ref) Hashtbl.t; (* (vid, property) -> stop flag *)
   mutable response_policy : Report.t -> response_strategy option;
   mutable batching : bool;  (* Merkle-batched AS rounds in [attest_many]; off by default *)
@@ -133,37 +130,7 @@ let as_index t ~host =
   let i = t.cluster_of host in
   if i < 0 || i >= Array.length t.attestation_servers then 0 else i
 
-let as_transport t ~dst msg =
-  let result, elapsed = Net.Network.call_with_retry t.net ~src:t.name ~dst msg in
-  Ledger.add !(t.as_ledger) "network" elapsed;
-  match result with
-  | Ok r -> Ok r
-  | Error `Dropped -> Error "message dropped"
-  | Error (`No_such_host h) -> Error ("no such host: " ^ h)
-
-let as_channel t ~idx ledger =
-  match Hashtbl.find_opt t.as_channels idx with
-  | Some ch -> Ok ch
-  | None -> (
-      let as_name, _ = t.attestation_servers.(idx) in
-      Ledger.add ledger "handshake-crypto" Costs.handshake_crypto;
-      match
-        Net.Secure_channel.Client.connect ~identity:t.identity ~ca:t.ca_public
-          ~seed:(t.name ^ "->" ^ as_name) ~peer:as_name
-          ~transport:(as_transport t ~dst:as_name)
-      with
-      | Ok ch ->
-          Hashtbl.replace t.as_channels idx ch;
-          Ok ch
-      | Error e -> Error e)
-
 let ( let* ) = Result.bind
-
-(* Only failures the lossy network can cause degrade to [Unknown]; anything
-   forgery- or config-shaped stays a hard error. *)
-let classify_channel what e =
-  let msg = Format.asprintf "%s: %a" what Net.Secure_channel.pp_error e in
-  if Attestation_server.channel_unavailable e then `Avail msg else `Hard msg
 
 let sign_controller_report t (req : Protocol.attest_request) ledger report =
   Ledger.add ledger "report-sign" Costs.report_sign;
@@ -204,19 +171,15 @@ let audit_check t ~idx (as_report : Protocol.as_report) receipt ledger =
 (* One controller -> AS exchange under a fresh N2, either shape: [encode]
    builds the request around N2 and [decode] splits the reply into its
    payload, the AS's cost ledger (charged here under "as:") and its audit
-   receipts.  Errors carry whether they are availability-shaped ([`Avail])
-   and thus eligible for degradation. *)
+   receipts.  Channel failures keep their cause ([`Hop]), so the retry loop
+   can tell availability from forgery. *)
 let as_call t ~idx ~encode ~decode ledger =
-  let* channel =
-    Result.map_error (classify_channel "AS channel") (as_channel t ~idx ledger)
-  in
-  let n2 = Crypto.Drbg.nonce t.drbg in
-  let* raw =
-    match Net.Secure_channel.Client.call_robust channel (encode n2) with
-    | Ok raw -> Ok raw
-    | Error e ->
-        Hashtbl.remove t.as_channels idx;
-        Error (classify_channel "AS call" e)
+  let* n2, raw =
+    Result.map_error
+      (fun e -> `Hop e)
+      (Hop.call t.hop ~peer:(fst t.attestation_servers.(idx)) ledger (fun () ->
+           let n2 = Crypto.Drbg.nonce t.drbg in
+           (n2, encode n2)))
   in
   let* reply, as_costs, receipts = Result.map_error (fun e -> `Hard e) (decode raw) in
   List.iter (fun (label, cost) -> Ledger.add ledger ("as:" ^ label) cost) as_costs;
@@ -246,8 +209,10 @@ let cache_bookkeep t ~vid ~property (report : Report.t) =
   | Report.Compromised _ | Report.Unknown _ ->
       ignore (Verdict_cache.invalidate t.cache ~vid ~property : bool)
 
-(* From-scratch rounds one attestation may run before it degrades. *)
-let attest_attempts = 2
+let round_error = function
+  | `Hard msg -> msg
+  | `Hop (`Connect e) -> Format.asprintf "AS channel: %a" Net.Secure_channel.pp_error e
+  | `Hop (`Call e) -> Format.asprintf "AS call: %a" Net.Secure_channel.pp_error e
 
 (* Bounded re-attestation, either shape: [round] answers every request (in
    order) or fails as a whole.  While the path to the AS stays unavailable
@@ -257,28 +222,26 @@ let attest_attempts = 2
    Hard failures answer every request with the error.  Every verdict feeds
    the cache. *)
 let with_retries t ~what ledger (reqs : Protocol.attest_request list) round =
-  let degraded reason (req : Protocol.attest_request) =
-    Ok
-      (sign_controller_report t req ledger
-         {
-           Report.vid = req.vid;
-           property = req.property;
-           status = Report.Unknown reason;
-           evidence = "no attestation-server report";
-           produced_at = Sim.Engine.now t.engine;
-         })
+  let degrade e =
+    let msg = round_error e in
+    log t "%s degraded to unknown: %s" what msg;
+    let reason =
+      Printf.sprintf "attestation server unreachable after %d attempts: %s" Hop.attempts msg
+    in
+    List.map
+      (fun (req : Protocol.attest_request) ->
+        let status = Report.Unknown reason and produced_at = Sim.Engine.now t.engine in
+        let evidence = "no attestation-server report" in
+        Ok
+          (sign_controller_report t req ledger
+             { Report.vid = req.vid; property = req.property; status; evidence; produced_at }))
+      reqs
   in
-  let rec go attempt =
-    match round () with
+  let degradable = function `Hop e -> Hop.unavailable (Hop.cause e) | `Hard _ -> false in
+  let results =
+    match Hop.retry ~degradable ~degrade round with
     | Ok results -> results
-    | Error (`Avail msg) when attempt < attest_attempts -> go (attempt + 1)
-    | Error (`Avail msg) ->
-        log t "%s degraded to unknown: %s" what msg;
-        let reason =
-          Printf.sprintf "attestation server unreachable after %d attempts: %s" attempt msg
-        in
-        List.map (degraded reason) reqs
-    | Error (`Hard msg) -> List.map (fun _ -> Error msg) reqs
+    | Error e -> List.map (fun _ -> Error (round_error e)) reqs
   in
   List.map2
     (fun (req : Protocol.attest_request) result ->
@@ -287,7 +250,7 @@ let with_retries t ~what ledger (reqs : Protocol.attest_request list) round =
           cache_bookkeep t ~vid:req.vid ~property:req.property creport.Protocol.report;
           creport)
         result)
-    reqs (go 1)
+    reqs results
 
 (* One controller -> AS -> cloud server round for a single report. *)
 let attest_round t (req : Protocol.attest_request) ledger () =
@@ -311,7 +274,6 @@ let attest_round t (req : Protocol.attest_request) ledger () =
 (* The attest_service path: controller -> AS -> cloud server and back. *)
 let attest t (req : Protocol.attest_request) =
   let ledger = Ledger.create () in
-  t.as_ledger := ledger;
   match Verdict_cache.find t.cache ~vid:req.vid ~property:req.property with
   | Some cached ->
       (* Verdict-cache hit: re-sign the cached report under the customer's
@@ -454,7 +416,6 @@ let attest_many t (reqs : Protocol.attest_request list) =
   in
   List.iter (fun (host, _) -> Hashtbl.remove groups host) lone;
   List.iter single (by_index (List.map snd lone @ singles));
-  t.as_ledger := shared;
   let grouped =
     List.sort
       (fun (h1, _) (h2, _) -> compare h1 h2)
@@ -648,10 +609,8 @@ let terminate t ~vid =
 
 (* --- Periodic attestation -------------------------------------------------- *)
 
-let deliver t ~owner report =
-  match Hashtbl.find_opt t.subscribers owner with
-  | Some f -> f report
-  | None -> ()
+let deliver t ~owner ~round report =
+  Option.iter (fun f -> f ~round report) (Hashtbl.find_opt t.subscribers owner)
 
 (* Section 5.2 response #2: a suspended VM is re-attested periodically;
    if the health recovers it is resumed, otherwise it is eventually
@@ -710,7 +669,7 @@ let periodic_start t ~vid ~property ~schedule ~nonce =
           (match result with
           | Error e -> log t "periodic attestation of %s failed: %s" vid e
           | Ok report ->
-              deliver t ~owner:record.Database.owner report;
+              deliver t ~owner:record.Database.owner ~round:!counter report;
               let r = report.Protocol.report in
               if not (Report.is_healthy r) then begin
                 match t.response_policy r with
@@ -906,14 +865,15 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
       name;
       net;
       engine;
-      ca_public = Net.Ca.public ca;
       identity;
       drbg = Crypto.Drbg.create ~seed:(seed ^ "|cc-drbg");
       sched_drbg = Crypto.Drbg.create ~seed:(seed ^ "|cc-sched");
       db = Database.create ();
       attestation_servers = Array.of_list attestation_servers;
-      as_channels = Hashtbl.create 4;
-      as_ledger = ref (Ledger.create ());
+      hop =
+        Hop.create ~net ~identity ~ca:(Net.Ca.public ca)
+          ~seed:(fun peer -> name ^ "->" ^ peer)
+          ~address:Fun.id;
       cluster_of;
       cache = Verdict_cache.create ~clock:(fun () -> Sim.Engine.now engine) ();
       hypervisors = Hashtbl.create 8;

@@ -33,9 +33,6 @@ let evtpm_quote_sign = ms 9
 let cvm_session_keygen = ms 40
 let cvm_quote_sign = ms 6
 let cvm_chain_verify = signature_verify + signature_verify
-let evtpm_state_save = ms 12
-let evtpm_state_restore = ms 15
-let evtpm_rebind = pca_certify
 
 (* Layered attestation: before trusting a VM quote, the appraiser checks the
    freshness of the host's trust backend (binding epoch + stale flag).  This

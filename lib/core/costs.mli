@@ -33,24 +33,13 @@ val handshake_crypto : Sim.Time.t
 
     The classic Trust Module keeps the calibration constants above; the
     vTPM runs its crypto in host software and the CVM report device signs
-    with a pre-fused platform-derived key, so their RSA terms shrink. *)
-
-val evtpm_session_keygen : Sim.Time.t
-val evtpm_quote_sign : Sim.Time.t
-val cvm_session_keygen : Sim.Time.t
-val cvm_quote_sign : Sim.Time.t
+    with a pre-fused platform-derived key, so their RSA terms shrink (see
+    {!session_keygen_for} and {!quote_sign_for}). *)
 
 val cvm_chain_verify : Sim.Time.t
 (** Walking the two-link platform certificate chain (vendor root -> fused
     platform key -> report key): two RSA verifications, replacing the
     Privacy-CA certificate check. *)
-
-val evtpm_state_save : Sim.Time.t
-val evtpm_state_restore : Sim.Time.t
-
-val evtpm_rebind : Sim.Time.t
-(** Privacy-CA re-registration of a restored vTPM (same class as
-    {!pca_certify}). *)
 
 val layer_appraise : Sim.Time.t
 (** Nested "attest the attester" check: appraising the freshness of a host's

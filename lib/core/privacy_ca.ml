@@ -25,9 +25,6 @@ let enroll_evtpm t ~name key ~epoch = Hashtbl.replace t.evtpms name (key, ref ep
 
 let rebind_evtpm t ~name key ~epoch = Hashtbl.replace t.evtpms name (key, ref epoch)
 
-let evtpm_epoch t ~name =
-  Option.map (fun (_, e) -> !e) (Hashtbl.find_opt t.evtpms name)
-
 let enrolled t = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.servers [])
 
 let certify_attestation_key t ~key ~endorsement =

@@ -34,8 +34,6 @@ val rebind_evtpm : t -> name:string -> Crypto.Rsa.public -> epoch:int -> unit
 (** Re-registration after a restore: records the vTPM's new binding epoch
     (and identity key, which survives migration unchanged). *)
 
-val evtpm_epoch : t -> name:string -> int option
-
 val anonymous_subject : string
 (** Subject string used on every attestation-key certificate. *)
 

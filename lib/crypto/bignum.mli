@@ -41,7 +41,6 @@ val divmod_small : t -> int -> t * int
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 val bit_length : t -> int
-val test_bit : t -> int -> bool
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Montgomery exponentiation (width-4 sliding window) for odd moduli;

@@ -1,10 +1,6 @@
 (** ChaCha20 stream cipher (RFC 8439), the symmetric cipher protecting
     secure-channel payloads ([Kx], [Ky], [Kz] in the attestation protocol). *)
 
-val key_size : int (** 32 bytes *)
-
-val nonce_size : int (** 12 bytes *)
-
 val block : key:string -> nonce:string -> counter:int -> string
 (** One 64-byte keystream block. *)
 

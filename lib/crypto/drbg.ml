@@ -2,8 +2,6 @@ type t = { mutable key : string; mutable counter : int }
 
 let create ~seed = { key = Sha256.digest ("drbg-seed|" ^ seed); counter = 0 }
 
-let of_prng prng = create ~seed:(Bytes.unsafe_to_string (Sim.Prng.bytes prng 32))
-
 let zero_nonce = String.make 12 '\x00'
 
 let random_bytes t n =

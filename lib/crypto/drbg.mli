@@ -9,11 +9,7 @@ type t
 val create : seed:string -> t
 (** Seed material of any length (hashed into the cipher key). *)
 
-val of_prng : Sim.Prng.t -> t
-(** Seed a DRBG from the simulation PRNG, for convenience in tests. *)
-
 val random_bytes : t -> int -> string
-val random_u64 : t -> int64
 
 val random_int : t -> int -> int
 (** Uniform in [\[0, bound)]. *)

@@ -43,10 +43,9 @@ module Memo : sig
 
   val create : capacity:int -> t
   val shared : unit -> t
-  (** The process-wide memo (capacity {!default_capacity}) that
-      {!verify_memo} defaults to. *)
+  (** The process-wide memo (4096 entries) that {!verify_memo} defaults
+      to. *)
 
-  val default_capacity : int
   val hits : t -> int
   val misses : t -> int
   val length : t -> int

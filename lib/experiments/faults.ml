@@ -94,6 +94,15 @@ let run ?(seed = 2015) ?(rounds = rounds_default) () =
   in
   List.map (fun r -> { r with added_ms = r.mean_ms -. baseline }) rows
 
+(* Pure loss may cost latency and degrade verdicts, never answer wrongly:
+   every round ends Healthy or Unknown, the clean network is all Healthy
+   and a blackout all Unknown. *)
+let clean rows =
+  let row_is label ok = List.exists (fun r -> r.label = label && ok r) rows in
+  List.for_all (fun r -> r.errors = 0 && r.healthy + r.unknown = r.rounds) rows
+  && row_is "clean" (fun r -> r.healthy = r.rounds)
+  && row_is "blackout" (fun r -> r.unknown = r.rounds)
+
 let print rows =
   Common.section "Faults: attestation under a lossy network (drop rate sweep)";
   Printf.printf "%-10s %7s %8s %8s %7s %9s %10s %7s %8s\n" "adversary" "rounds" "healthy"
@@ -108,4 +117,31 @@ let print rows =
     (fun r ->
       let pct = 100.0 *. float_of_int r.healthy /. float_of_int r.rounds in
       Printf.printf "  %-10s success %5.1f%% %s\n" r.label pct (Common.bar (pct /. 10.0)))
-    rows
+    rows;
+  Printf.printf "\n%s\n"
+    (if clean rows then "faults gates hold: no errors, clean all Healthy, blackout all Unknown"
+     else "FAULTS GATE VIOLATION")
+
+let to_json rows =
+  Json.Obj
+    [
+      ("experiment", Json.Str "faults");
+      ( "rows",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("adversary", Json.Str r.label);
+                   ("rounds", Json.Int r.rounds);
+                   ("healthy", Json.Int r.healthy);
+                   ("unknown", Json.Int r.unknown);
+                   ("errors", Json.Int r.errors);
+                   ("mean_ms", Json.Float r.mean_ms);
+                   ("added_ms", Json.Float r.added_ms);
+                   ("drops", Json.Int r.drops);
+                   ("retries", Json.Int r.retries);
+                 ])
+             rows) );
+      ("clean", Json.Bool (clean rows));
+    ]

@@ -24,3 +24,10 @@ type result = row list
 
 val run : ?seed:int -> ?rounds:int -> unit -> result
 val print : result -> unit
+
+val clean : result -> bool
+(** The gate: no row has an error, every round ends [Healthy] or
+    [Unknown], the [clean] row is all [Healthy] and the [blackout] row all
+    [Unknown]. *)
+
+val to_json : result -> Json.t

@@ -14,10 +14,7 @@ val to_string : ?indent:int -> t -> string
 (** Serialize; [indent] > 0 pretty-prints (default 2).  Non-finite floats
     serialize as [null], keeping the output strictly standard JSON. *)
 
-val write_file : string -> t -> unit
-(** Write [to_string] plus a trailing newline.  Raises [Sys_error] when the
-    file cannot be created (e.g. missing parent directory). *)
-
 val write_file_result : string -> t -> (unit, string) result
-(** Like {!write_file} but returns the [Sys_error] message instead of
-    raising, so CLIs can fail with a clean one-line error. *)
+(** Write [to_string] plus a trailing newline, or return the [Sys_error]
+    message when the file cannot be created (e.g. missing parent
+    directory), so CLIs can fail with a clean one-line error. *)

@@ -39,25 +39,6 @@ val scenario :
     base driver config, the scheduler tick, the budgets swept, the storm
     time, and the domain counts of the headline curve. *)
 
-val monitor_of :
-  tick:Sim.Time.t ->
-  budget:Sim.Time.t ->
-  storms:Fleet.Monitor.storm list ->
-  Fleet.Monitor.config
-(** The sweep's monitor config for one budget: lead scales with the budget
-    but always covers two ticks; recheck budget is half the budget. *)
-
-val time_to_detect : Fleet.Driver.result -> Sim.Time.t option option
-(** Detection delay of the run's rack-compromise storm ([detected_at -
-    at]): [None] when the run planted no rack storm, [Some None] when one
-    was planted but never detected. *)
-
-val detect_bound : row -> Sim.Time.t
-(** Two re-attestation periods: the time-to-detect SLO CI gates on.  One
-    period is the worst-case gap before the next scheduled probe of a
-    just-refreshed victim; the second absorbs queueing, shed-retry and
-    cross-shard epoch delivery. *)
-
 val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
 (** [scale] defaults to [`Smoke] when the environment variable
     [CLOUDMONATT_FLEET_SCALE] is ["smoke"] (the CI setting), else

@@ -58,7 +58,8 @@ let entries =
     entry "cache" "prime-probe cache covert channel and its detection" (fun ~seed ->
         report ~print:Cache_exp.print (Cache_exp.run ~seed ()));
     entry "faults" "attestation availability on a lossy network" (fun ~seed ->
-        report ~print:Faults.print (Faults.run ~seed ()));
+        report ~print:Faults.print ~to_json:Faults.to_json ~gate:Faults.clean
+          (Faults.run ~seed ()));
     entry "fleet" "fleet-scale throughput sweep, sharded by AS cluster" (fun ~seed ->
         report ~print:Fleet_exp.print ~to_json:Fleet_exp.to_json ~gate:Fleet_exp.clean
           (Fleet_exp.run ~seed ()));

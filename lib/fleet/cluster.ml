@@ -13,7 +13,7 @@ type t = {
   capacity : int;
   queue : job Pqueue.t;
   inflight : (string * string, job) Hashtbl.t;  (* queued or in service *)
-  service_time : unit -> Sim.Time.t;
+  service_time : int -> Sim.Time.t;  (* one round serving n jobs *)
   measure : vid:string -> property:Core.Property.t -> Core.Report.status;
   metrics : Metrics.t;
   gauge : Sim.Stats.Gauge.t;
@@ -26,7 +26,6 @@ type t = {
      trade latency for amortization). *)
   batch_max : int;
   batch_window : Sim.Time.t;
-  batch_service_time : int -> Sim.Time.t;
   mutable gate : Sim.Engine.handle option;  (* armed window timer *)
   mutable ripe : bool;  (* window expired with jobs still queued *)
   (* Verdict transparency log (audit subsystem): every completed
@@ -37,7 +36,7 @@ type t = {
 }
 
 let create ~engine ~name ?(capacity = 1) ~queue_depth ~service_time ~measure ~metrics
-    ?(batch_max = 1) ?(batch_window = 0) ?batch_service_time () =
+    ?(batch_max = 1) ?(batch_window = 0) () =
   if capacity <= 0 then invalid_arg "Cluster.create: capacity must be positive";
   if batch_max <= 0 then invalid_arg "Cluster.create: batch_max must be positive";
   {
@@ -53,10 +52,6 @@ let create ~engine ~name ?(capacity = 1) ~queue_depth ~service_time ~measure ~me
     busy = 0;
     batch_max;
     batch_window;
-    batch_service_time =
-      (match batch_service_time with
-      | Some f -> f
-      | None -> fun n -> n * service_time ());
     gate = None;
     ripe = false;
     audit = None;
@@ -86,7 +81,6 @@ let record_verdict t job status =
       Metrics.record_audit_append t.metrics
 
 let name t = t.name
-let queue_length t = Pqueue.length t.queue
 let inflight t = Hashtbl.length t.inflight
 let queue_gauge t = t.gauge
 let batches t = Metrics.batches t.metrics
@@ -98,32 +92,6 @@ let track_depth t =
 
 let finish job verdict = List.iter (fun w -> w verdict) (List.rev job.waiters)
 
-(* The unbatched path, kept byte-for-byte: with [batch_max = 1] every
-   scheduling decision and every [service_time] draw happens exactly as it
-   did before batching existed, so batch-1 runs replay deterministically. *)
-let rec maybe_start t =
-  if t.busy < t.capacity then begin
-    match Pqueue.pop t.queue with
-    | None -> ()
-    | Some (_, job) ->
-        track_depth t;
-        t.busy <- t.busy + 1;
-        Metrics.record_measurement t.metrics;
-        ignore
-          (Sim.Engine.schedule_after t.engine ~delay:(t.service_time ()) (fun () ->
-               t.busy <- t.busy - 1;
-               (* Remove before delivering: a requester reacting to the
-                  verdict (e.g. an immediate re-check) starts a fresh
-                  measurement rather than joining this finished one. *)
-               Hashtbl.remove t.inflight job.key;
-               let status = t.measure ~vid:job.vid ~property:job.property in
-               record_verdict t job status;
-               finish job (Done status);
-               maybe_start t)
-            : Sim.Engine.handle);
-        maybe_start t
-  end
-
 let disarm t =
   match t.gate with
   | Some h ->
@@ -131,7 +99,9 @@ let disarm t =
       t.gate <- None
   | None -> ()
 
-(* Pop up to [batch_max] jobs and serve them as one batched round. *)
+(* Pop up to [batch_max] jobs and serve them as one round.  With
+   [batch_max = 1] this is the unbatched scheduler: one pop, one depth
+   sample and one [service_time] draw per job, and no batch recorded. *)
 let rec flush t =
   disarm t;
   t.ripe <- false;
@@ -148,22 +118,25 @@ let rec flush t =
       let n = List.length jobs in
       track_depth t;
       t.busy <- t.busy + 1;
-      Metrics.record_batch t.metrics ~size:n;
+      if t.batch_max > 1 then Metrics.record_batch t.metrics ~size:n;
       List.iter (fun _ -> Metrics.record_measurement t.metrics) jobs;
       ignore
-        (Sim.Engine.schedule_after t.engine ~delay:(t.batch_service_time n) (fun () ->
+        (Sim.Engine.schedule_after t.engine ~delay:(t.service_time n) (fun () ->
              t.busy <- t.busy - 1;
              List.iter
                (fun job ->
+                 (* Remove before delivering: a requester reacting to the
+                    verdict (e.g. an immediate re-check) starts a fresh
+                    measurement rather than joining this finished one. *)
                  Hashtbl.remove t.inflight job.key;
                  let status = t.measure ~vid:job.vid ~property:job.property in
                  record_verdict t job status;
                  finish job (Done status))
                jobs;
-             maybe_start_batched t)
+             maybe_start t)
           : Sim.Engine.handle)
 
-and maybe_start_batched t =
+and maybe_start t =
   if t.busy < t.capacity && not (Pqueue.is_empty t.queue) then begin
     let should_flush =
       t.ripe
@@ -173,7 +146,7 @@ and maybe_start_batched t =
     in
     if should_flush then begin
       flush t;
-      maybe_start_batched t
+      maybe_start t
     end
     else if t.gate = None then
       t.gate <-
@@ -181,10 +154,8 @@ and maybe_start_batched t =
           (Sim.Engine.schedule_after t.engine ~delay:t.batch_window (fun () ->
                t.gate <- None;
                t.ripe <- true;
-               maybe_start_batched t))
+               maybe_start t))
   end
-
-let kick t = if t.batch_max > 1 then maybe_start_batched t else maybe_start t
 
 let submit t ~vid ~property ~priority ~on_done =
   let key = (vid, Core.Property.to_string property) in
@@ -202,7 +173,7 @@ let submit t ~vid ~property ~priority ~on_done =
       | Pqueue.Enqueued ->
           Hashtbl.replace t.inflight key job;
           track_depth t;
-          kick t
+          maybe_start t
       | Pqueue.Evicted (victim_priority, victim) ->
           Hashtbl.remove t.inflight victim.key;
           List.iter
@@ -212,4 +183,4 @@ let submit t ~vid ~property ~priority ~on_done =
             (List.rev victim.waiters);
           Hashtbl.replace t.inflight key job;
           track_depth t;
-          kick t)
+          maybe_start t)

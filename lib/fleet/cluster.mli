@@ -17,8 +17,8 @@
     waits up to [batch_window] for more to arrive; a queued
     Customer-priority request flushes the window immediately.  Batching
     composes with coalescing and shedding unchanged — both act at admission,
-    before batch formation.  [batch_max = 1] (the default) is byte-for-byte
-    the unbatched scheduler, preserving deterministic replay. *)
+    before batch formation.  [batch_max = 1] (the default) serves one job
+    per round and records no batches. *)
 
 type verdict =
   | Done of Core.Report.status  (** measurement completed with this status *)
@@ -31,24 +31,22 @@ val create :
   name:string ->
   ?capacity:int ->
   queue_depth:int ->
-  service_time:(unit -> Sim.Time.t) ->
+  service_time:(int -> Sim.Time.t) ->
   measure:(vid:string -> property:Core.Property.t -> Core.Report.status) ->
   metrics:Metrics.t ->
   ?batch_max:int ->
   ?batch_window:Sim.Time.t ->
-  ?batch_service_time:(int -> Sim.Time.t) ->
   unit ->
   t
 (** [capacity] (default 1) is the number of concurrent measurement rounds
-    the AS sustains; [service_time] samples the simulated duration of one
-    round; [measure] produces the verdict when a round completes.
-    Coalescing, measurement and shed counts are recorded into [metrics].
+    the AS sustains; [service_time n] samples the simulated duration of
+    one round serving [n] jobs (always 1 with batching off); [measure]
+    produces the verdict when a round completes.  Coalescing, measurement
+    and shed counts are recorded into [metrics].
 
     [batch_max] (default 1 = off) bounds how many jobs one slot serves per
-    batched round, [batch_window] (default 0) how long a partial batch
-    waits for company, and [batch_service_time n] samples the duration of
-    an n-job batched round (default: [n] independent [service_time]
-    draws).  With [batch_max = 1] none of the batch machinery runs. *)
+    round and [batch_window] (default 0) how long a partial batch waits for
+    company. *)
 
 val name : t -> string
 
@@ -62,7 +60,6 @@ val submit :
 (** [on_done] fires exactly once: immediately (same engine step) for shed
     requests, at measurement completion otherwise. *)
 
-val queue_length : t -> int
 val inflight : t -> int
 (** Pending distinct (VM, property) measurements: queued + in service. *)
 
@@ -81,7 +78,3 @@ val set_audit : t -> Audit.Log.t option -> unit
 
 val audit : t -> Audit.Log.t option
 
-val audit_entry :
-  vid:string -> property:Core.Property.t -> Core.Report.status -> string
-(** The canonical entry encoding, exposed so auditors can recompute the
-    expected leaf when replaying a log. *)

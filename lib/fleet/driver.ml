@@ -287,17 +287,10 @@ let run config =
         ()
     in
     let kind = backend_of_cluster s in
-    (* One jitter draw per round regardless of backend, so a heterogeneous
-       fleet consumes the same PRNG stream as an all-classic one. *)
-    let service_time () =
-      (* +/-10% jitter around the ledger-derived base. *)
-      let base = float_of_int (cold_service_base_for kind) in
-      let f = 0.9 +. Sim.Prng.float service 0.2 in
-      max 1 (int_of_float (base *. f))
-    in
-    (* One jitter draw per batched round, mirroring the unbatched one-draw-
-       per-round discipline.  Never called when [batch_max = 1]. *)
-    let batch_service_time n =
+    (* One jitter draw per round, batched or not and regardless of
+       backend, so a heterogeneous fleet consumes the same PRNG stream as an
+       all-classic one: +/-10% around the ledger-derived base. *)
+    let service_time n =
       let base = float_of_int (batch_service_base_for kind n) in
       let f = 0.9 +. Sim.Prng.float service 0.2 in
       max 1 (int_of_float (base *. f))
@@ -323,7 +316,7 @@ let run config =
         ~name:(Printf.sprintf "as-%d" (s + 1))
         ~capacity:config.as_capacity ~queue_depth:config.queue_depth
         ~service_time ~measure ~metrics ~batch_max:config.batch_max
-        ~batch_window:config.batch_window ~batch_service_time ()
+        ~batch_window:config.batch_window ()
     in
     let my_vms = slices.(s) in
     let my_hot =

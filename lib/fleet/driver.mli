@@ -177,6 +177,3 @@ val audit_verdict_ms : size:int -> float
     log holds [size] entries: append, head signature, inclusion proof and
     receipt verification.  Grows O(log size). *)
 
-val cold_service_base_for : Tpm.Backend.kind -> Sim.Time.t
-(** AS-side occupancy of one cold round under the given backend;
-    [Classic] is the historical {!cold_attest_ms} service term. *)

@@ -117,14 +117,12 @@ let coalesced t = t.coalesced
 let measurements t = t.measurements
 let unhealthy t = t.unhealthy
 let shed t p = t.sheds.(Pqueue.rank p)
-let shed_total t = Array.fold_left ( + ) 0 t.sheds
 
 let cache_hit_rate t =
   if t.served = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int t.served
 
 let latency t = t.latency
 let batches t = t.batches
-let batch_sizes t = t.batch_sizes
 
 let mean_batch_size t =
   if t.batches = 0 then 0.0 else Sim.Stats.Reservoir.mean t.batch_sizes
@@ -139,7 +137,6 @@ let mon_missed t p = t.mon_missed.(Pqueue.rank p)
 let mon_shed t p = t.mon_shed.(Pqueue.rank p)
 let mon_scheduled_total t = Array.fold_left ( + ) 0 t.mon_scheduled
 let mon_served_total t = Array.fold_left ( + ) 0 t.mon_served
-let mon_missed_total t = Array.fold_left ( + ) 0 t.mon_missed
 let mon_shed_total t = Array.fold_left ( + ) 0 t.mon_shed
 let mon_dedups t = t.mon_dedups
 let mon_ticks t = t.mon_ticks

@@ -43,7 +43,6 @@ val coalesced : t -> int
 val measurements : t -> int
 val unhealthy : t -> int
 val shed : t -> Pqueue.priority -> int
-val shed_total : t -> int
 
 val cache_hit_rate : t -> float
 (** Hits over served requests (0 when nothing served). *)
@@ -52,7 +51,6 @@ val latency : t -> Sim.Stats.Reservoir.t
 (** End-to-end latencies of served requests, in milliseconds. *)
 
 val batches : t -> int
-val batch_sizes : t -> Sim.Stats.Reservoir.t
 val mean_batch_size : t -> float
 (** 0 when no batched round ran. *)
 
@@ -112,7 +110,6 @@ val mon_missed : t -> Pqueue.priority -> int
 val mon_shed : t -> Pqueue.priority -> int
 val mon_scheduled_total : t -> int
 val mon_served_total : t -> int
-val mon_missed_total : t -> int
 val mon_shed_total : t -> int
 val mon_dedups : t -> int
 

@@ -2,11 +2,6 @@ type priority = Customer | Periodic | Recheck
 
 let rank = function Customer -> 0 | Periodic -> 1 | Recheck -> 2
 
-let priority_label = function
-  | Customer -> "customer"
-  | Periodic -> "periodic"
-  | Recheck -> "recheck"
-
 let all_priorities = [ Customer; Periodic; Recheck ]
 
 let of_rank = function 0 -> Customer | 1 -> Periodic | _ -> Recheck

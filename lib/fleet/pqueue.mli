@@ -15,7 +15,6 @@ type priority = Customer | Periodic | Recheck
 val rank : priority -> int
 (** 0 = highest (Customer). *)
 
-val priority_label : priority -> string
 val all_priorities : priority list
 
 type 'a t

@@ -57,13 +57,6 @@ let home_slices t =
   done;
   Array.map Array.of_list buckets
 
-let pick_vm t prng ?(hot = 0) ?(hot_p = 0.0) () =
-  let n = Array.length t.vms in
-  if n = 0 then invalid_arg "Topology.pick_vm: empty fleet";
-  let hot = min hot n in
-  if hot > 0 && Sim.Prng.float prng 1.0 < hot_p then t.vms.(Sim.Prng.int prng hot)
-  else t.vms.(Sim.Prng.int prng n)
-
 let pick_among prng ~pool ~hot ~hot_p =
   let n = Array.length pool in
   if n = 0 then invalid_arg "Topology.pick_among: empty pool";

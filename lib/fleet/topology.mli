@@ -46,17 +46,12 @@ val home_slices : t -> vm array array
 (** [home_slices t] partitions the fleet by home cluster; slice [c] holds
     the VMs with [home = c], in [idx] order.  A slice may be empty. *)
 
-val pick_vm : t -> Sim.Prng.t -> ?hot:int -> ?hot_p:float -> unit -> vm
-(** Sample a VM for an arriving attestation request.  With probability
-    [hot_p] (default 0) the VM comes from the first [hot] VMs (default 0 =
-    whole fleet), modelling the skewed access pattern of monitored tenants;
-    otherwise uniform over the whole fleet. *)
-
 val pick_among :
   Sim.Prng.t -> pool:vm array -> hot:vm array -> hot_p:float -> vm
-(** Shard-local variant of {!pick_vm}: sample from [pool], biased towards
-    the [hot] subset with probability [hot_p] when [hot] is non-empty.
-    [pool] must be non-empty. *)
+(** Sample a VM for an arriving attestation request from [pool]: with
+    probability [hot_p] it comes from the [hot] subset (when non-empty),
+    modelling the skewed access pattern of monitored tenants; otherwise
+    uniform over [pool].  [pool] must be non-empty. *)
 
 val migrate : t -> Sim.Prng.t -> vm -> string
 (** Re-place [vm] on a different random server; returns the new host. *)

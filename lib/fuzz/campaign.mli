@@ -50,5 +50,4 @@ val campaign :
 val clean : report -> bool
 (** No failures, no determinism mismatches, no batching mismatches. *)
 
-val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

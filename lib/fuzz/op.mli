@@ -73,11 +73,9 @@ val workloads : string array
 val properties : Core.Property.t array
 (** The property pool, [Core.Property.all] in order. *)
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> scenario -> unit
 
 val op_to_string : op -> string
-val op_of_string : string -> op option
 
 val to_string : scenario -> string
 (** One line: [seed=<n> ops=<op>;<op>;...]. *)

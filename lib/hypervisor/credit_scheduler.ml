@@ -82,10 +82,8 @@ let engine t = t.engine
 let pcpus t = Array.length t.cpus
 let now t = Sim.Engine.now t.engine
 
-let domain_name d = d.name
 let domains t = List.rev t.doms
 let credits v = v.credits
-let domain_of v = v.dom
 let is_paused d = d.paused
 
 (* --- Run queues with lazy deletion ------------------------------------ *)
@@ -478,8 +476,6 @@ let add_vcpu t dom ?pin program =
     maybe_preempt t pc
   end;
   v
-
-let send_ipi t dom target = ipi t dom target
 
 let pause_domain t dom =
   if not dom.paused then begin

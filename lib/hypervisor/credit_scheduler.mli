@@ -42,17 +42,11 @@ val pcpus : t -> int
 (** {2 Domains and vCPUs} *)
 
 val add_domain : t -> name:string -> weight:int -> domain
-val domain_name : domain -> string
 val domains : t -> domain list
 
 val add_vcpu : t -> domain -> ?pin:int -> Program.t -> vcpu
 (** Create a vCPU running [program], pinned to pCPU [pin] (default:
     round-robin).  It becomes runnable immediately. *)
-
-val send_ipi : t -> domain -> int -> unit
-(** Wake the domain's vCPU with the given index (programs use the
-    {!Program.Ipi} action instead; this is for external interrupt
-    injection). *)
 
 val pause_domain : t -> domain -> unit
 (** Deschedule all vCPUs and freeze timers (VM suspension). *)
@@ -88,7 +82,6 @@ val set_burst_trace : domain -> bool -> unit
 val burst_trace : domain -> (Sim.Time.t * Sim.Time.t) list
 
 val credits : vcpu -> int
-val domain_of : vcpu -> domain
 
 (** {2 Invariant checks (used by tests)} *)
 

@@ -73,7 +73,6 @@ let is_secure t = t.trust <> None
 let capabilities t = t.capabilities
 let platform t = t.platform
 let pcpus t = Credit_scheduler.pcpus t.sched
-let mem_total_mb t = t.mem_mb
 let mem_free_mb t = t.mem_mb - t.mem_used
 
 let launch t ?pin ?(pins = []) vm =

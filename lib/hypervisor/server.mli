@@ -62,7 +62,6 @@ val is_secure : t -> bool
 val capabilities : t -> string list
 val platform : t -> platform
 val pcpus : t -> int
-val mem_total_mb : t -> int
 val mem_free_mb : t -> int
 
 (** {2 VM management} *)

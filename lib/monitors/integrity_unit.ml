@@ -7,5 +7,3 @@ let image_measurement server ~vid =
   match Hypervisor.Server.find server vid with
   | None -> None
   | Some inst -> Some inst.image_hash_at_launch
-
-let measure_image_for_launch image = Hypervisor.Image.hash image

@@ -10,6 +10,3 @@ val platform_measurement : Hypervisor.Server.t -> string option
 
 val image_measurement : Hypervisor.Server.t -> vid:string -> string option
 (** Hash of the VM's image as measured when it was launched here. *)
-
-val measure_image_for_launch : Hypervisor.Image.t -> string
-(** The measurement taken just before a VM launch (startup attestation). *)

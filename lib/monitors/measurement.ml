@@ -27,24 +27,6 @@ let request_to_string = function
   | Cache_miss_pattern -> "cache-miss-pattern"
   | Ima_log -> "ima-log" 
 
-let pp_request ppf r = Format.pp_print_string ppf (request_to_string r)
-
-let pp_value ppf = function
-  | Measured_platform h -> Format.fprintf ppf "platform=%s" (Crypto.Hexs.short h)
-  | Measured_image h -> Format.fprintf ppf "image=%s" (Crypto.Hexs.short h)
-  | Measured_tasks { kernel; visible } ->
-      Format.fprintf ppf "tasks(kernel=%d, visible=%d)" (List.length kernel)
-        (List.length visible)
-  | Measured_histogram bins ->
-      Format.fprintf ppf "histogram(n=%d)" (Array.fold_left ( + ) 0 bins)
-  | Measured_cpu { vtime; steal; window; vcpus } ->
-      Format.fprintf ppf "cpu(%.1fms run, %.1fms steal / %.1fms, %d vcpus)"
-        (Sim.Time.to_ms vtime) (Sim.Time.to_ms steal) (Sim.Time.to_ms window) vcpus
-  | Measured_miss_windows w ->
-      Format.fprintf ppf "cache-misses(%d windows, %d total)" (Array.length w)
-        (Array.fold_left ( + ) 0 w)
-  | Measured_ima entries -> Format.fprintf ppf "ima(%d binaries)" (List.length entries)
-
 let encode_request e = function
   | Platform_integrity -> Codec.Enc.u8 e 1
   | Vm_image_integrity -> Codec.Enc.u8 e 2

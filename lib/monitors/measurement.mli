@@ -32,8 +32,6 @@ type value =
       (** (program name, binary hash) for every process in the kernel *)
 
 val request_to_string : request -> string
-val pp_request : Format.formatter -> request -> unit
-val pp_value : Format.formatter -> value -> unit
 
 val encode_requests : request list -> string
 val decode_requests : string -> request list option

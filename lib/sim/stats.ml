@@ -275,8 +275,6 @@ module Fraction_series = struct
     t.len <- t.len + 1
 
   let length t = t.len
-  let numerator t i = t.num.(i)
-  let denominator t i = t.den.(i)
 
   let fraction t i =
     if t.den.(i) = 0 then nan

@@ -118,8 +118,6 @@ module Fraction_series : sig
   (** Append one tick.  Requires [0 <= num <= den]. *)
 
   val length : t -> int
-  val numerator : t -> int -> int
-  val denominator : t -> int -> int
 
   val fraction : t -> int -> float
   (** [num/den] at tick [i]; [nan] when the denominator is 0. *)

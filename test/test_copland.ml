@@ -186,8 +186,8 @@ let test_dy_dropped_nonce () =
       (* The replayed message is session-1 traffic the attacker already
          holds: the proof must be a direct interception. *)
       (match a.Copland.Dy.proof with
-      | Verifier.Deduction.Known _ -> ()
-      | Verifier.Deduction.Build _ -> Alcotest.fail "replay should be intercepted, not built");
+      | Copland.Deduction.Known _ -> ()
+      | Copland.Deduction.Build _ -> Alcotest.fail "replay should be intercepted, not built");
       Alcotest.(check bool) "attack pretty-prints" true
         (String.length (Format.asprintf "%a" Copland.Dy.pp_attack a) > 0)
 

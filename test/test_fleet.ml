@@ -268,7 +268,7 @@ let test_cluster_coalesces_concurrent_requests () =
   let measured = ref 0 in
   let cluster =
     Fleet.Cluster.create ~engine ~name:"as-test" ~queue_depth:8
-      ~service_time:(fun () -> Sim.Time.ms 100)
+      ~service_time:(fun _ -> Sim.Time.ms 100)
       ~measure:(fun ~vid:_ ~property:_ ->
         incr measured;
         Report.Healthy)
@@ -300,7 +300,7 @@ let test_cluster_shed_verdict () =
   let metrics = Fleet.Metrics.create () in
   let cluster =
     Fleet.Cluster.create ~engine ~name:"as-test" ~queue_depth:1
-      ~service_time:(fun () -> Sim.Time.ms 100)
+      ~service_time:(fun _ -> Sim.Time.ms 100)
       ~measure:(fun ~vid:_ ~property:_ -> Report.Healthy)
       ~metrics ()
   in
@@ -327,8 +327,7 @@ let test_cluster_shed_verdict () =
 
 let batch_cluster ~engine ~metrics ~batch_max ~batch_window =
   Fleet.Cluster.create ~engine ~name:"as-batch" ~queue_depth:16
-    ~service_time:(fun () -> Sim.Time.ms 100)
-    ~batch_service_time:(fun n -> Sim.Time.ms (20 + (10 * n)))
+    ~service_time:(fun n -> Sim.Time.ms (20 + (10 * n)))
     ~measure:(fun ~vid:_ ~property:_ -> Report.Healthy)
     ~metrics ~batch_max ~batch_window ()
 

@@ -559,6 +559,66 @@ let test_periodic_reports_verified () =
   Cloud.run_for cloud (Sim.Time.sec 6);
   Alcotest.(check int) "stopped" 4 !seen
 
+(* A customer with a 2 s periodic runtime-integrity subscription on one busy
+   VM; counts the reports handed to its callback. *)
+let periodic_subscriber () =
+  let cloud = make_cloud () in
+  let c = Cloud.Customer.create cloud ~name:"alice" in
+  let info =
+    launch_ok c ~image:"cirros" ~flavor:"small" ~properties:[ Property.Runtime_integrity ]
+      ~workload:"busy" ()
+  in
+  let seen = ref 0 in
+  (match
+     Cloud.Customer.attest_periodic c ~vid:info.Commands.vid
+       ~property:Property.Runtime_integrity ~freq:(Sim.Time.sec 2)
+       ~on_report:(fun _ -> incr seen)
+       ()
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "periodic failed: %a" Cloud.Customer.pp_error e);
+  (cloud, c, info.Commands.vid, seen)
+
+let check_all_verified c seen delivered =
+  Alcotest.(check int) "none forged" 0 (Cloud.Customer.forged_count c);
+  Alcotest.(check int) "one verified report per delivered tick" delivered
+    (List.length (Cloud.Customer.periodic_reports c));
+  Alcotest.(check int) "callback per delivered tick" delivered !seen
+
+(* A failed one-time call drops the customer's channel; periodic reports
+   that arrive before it reconnects still verify under the controller key
+   of the last completed handshake, and so do those after a reconnect. *)
+let test_periodic_survives_failed_call () =
+  let cloud, c, vid, seen = periodic_subscriber () in
+  Cloud.run_for cloud (Sim.Time.sec 5);
+  let net = Cloud.net cloud in
+  Net.Network.set_adversary net (Net.Fault.blackout ());
+  (match Cloud.Customer.describe c ~vid with
+  | Error (`Channel _) -> ()
+  | _ -> Alcotest.fail "describe must fail under a blackout");
+  Net.Network.clear_adversary net;
+  Cloud.run_for cloud (Sim.Time.sec 6);
+  check_all_verified c seen 5;
+  (match Cloud.Customer.describe c ~vid with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "describe failed: %a" Cloud.Customer.pp_error e);
+  Cloud.run_for cloud (Sim.Time.sec 4);
+  check_all_verified c seen 7
+
+(* A tick that ends in an error delivers nothing but still consumes a round
+   at the controller; the customer checks each report against the round it
+   was attested for, so the later rounds verify. *)
+let test_periodic_survives_missed_round () =
+  let cloud, c, _vid, seen = periodic_subscriber () in
+  Cloud.run_for cloud (Sim.Time.sec 3);
+  let net = Cloud.net cloud in
+  Net.Network.set_adversary net (Net.Fault.garble_nth 1);
+  Cloud.run_for cloud (Sim.Time.sec 2);
+  Net.Network.clear_adversary net;
+  check_all_verified c seen 1;
+  Cloud.run_for cloud (Sim.Time.sec 6);
+  check_all_verified c seen 4
+
 let test_random_interval_periodic () =
   let cloud = make_cloud () in
   let c = Cloud.Customer.create cloud ~name:"alice" in
@@ -983,6 +1043,26 @@ let test_gate_protocols () =
   Alcotest.(check bool) "fewer than 3 weakened terms" false
     (P.clean { r with P.symbolic = unweakened })
 
+let test_gate_faults () =
+  let module F = Experiments.Faults in
+  let r = F.run ~seed:2015 ~rounds:3 () in
+  Alcotest.(check bool) "real run clean" true (F.clean r);
+  let doctor label f =
+    List.map (fun (row : F.row) -> if row.F.label = label then f row else row) r
+  in
+  let healthy_to f (row : F.row) = f { row with F.healthy = row.F.healthy - 1 } in
+  Alcotest.(check bool) "an error on a lossy row" false
+    (F.clean (doctor "p=0.10" (healthy_to (fun row -> { row with F.errors = 1 }))));
+  Alcotest.(check bool) "a round unaccounted" false
+    (F.clean (doctor "p=0.30" (healthy_to Fun.id)));
+  Alcotest.(check bool) "clean row degraded" false
+    (F.clean (doctor "clean" (healthy_to (fun row -> { row with F.unknown = 1 }))));
+  Alcotest.(check bool) "blackout row Healthy" false
+    (F.clean
+       (doctor "blackout" (fun row -> { row with F.healthy = 1; unknown = row.F.unknown - 1 })));
+  Alcotest.(check bool) "no blackout row" false
+    (F.clean (List.filter (fun (row : F.row) -> row.F.label <> "blackout") r))
+
 let test_gate_verify () =
   let module P = Experiments.Protocols_exp in
   let rows = P.verification () in
@@ -1096,6 +1176,10 @@ let () =
             test_ima_catches_what_task_diff_misses;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume_response;
           Alcotest.test_case "periodic verified" `Quick test_periodic_reports_verified;
+          Alcotest.test_case "periodic survives a failed call" `Quick
+            test_periodic_survives_failed_call;
+          Alcotest.test_case "periodic survives a missed round" `Quick
+            test_periodic_survives_missed_round;
           Alcotest.test_case "random-interval periodic" `Quick test_random_interval_periodic;
           Alcotest.test_case "suspend-recheck resumes" `Quick
             test_suspend_recheck_resumes_after_cleanup;
@@ -1138,5 +1222,6 @@ let () =
           Alcotest.test_case "audit gate fires" `Quick test_gate_audit;
           Alcotest.test_case "crypto gate fires" `Quick test_gate_crypto;
           Alcotest.test_case "fuzz gate fires" `Quick test_gate_fuzz;
+          Alcotest.test_case "faults gate fires" `Quick test_gate_faults;
         ] );
     ]

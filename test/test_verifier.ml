@@ -2,7 +2,7 @@
    and for the CloudMonatt protocol model built on it: Copland.Dy run on
    the paper's section 7.2.2 variants, written as phrases. *)
 
-open Verifier
+open Copland
 
 let qtest = QCheck_alcotest.to_alcotest
 
