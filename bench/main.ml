@@ -1,5 +1,4 @@
-(* Benchmark harness: runs the experiment table ({!Experiments.Registry})
-   plus the bench-only bechamel micro-benchmarks of the building blocks.
+(* Benchmark harness: runs the experiment table ({!Experiments.Registry}).
 
    Usage: main.exe [--list] [--json FILE] [EXPERIMENT...|all]
    With no experiment, everything runs.  Unknown names abort with a listing;
@@ -45,74 +44,11 @@ let observed (e : Registry.entry) =
             ] );
       ] )
 
-(* --- Micro-benchmarks (bechamel): the primitives under the protocol. --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let drbg = Crypto.Drbg.create ~seed:"bench" in
-  let kb = Crypto.Drbg.random_bytes drbg 1024 in
-  let four_kb = Crypto.Drbg.random_bytes drbg 4096 in
-  let key32 = Crypto.Drbg.random_bytes drbg 32 in
-  let nonce12 = Crypto.Drbg.random_bytes drbg 12 in
-  let rsa = Crypto.Rsa.generate drbg ~bits:1024 in
-  let signature = Crypto.Rsa.sign rsa.secret "payload" in
-  let tm = Tpm.Backend.create ~key_bits:512 Tpm.Backend.Classic ~seed:"bench-tm" () in
-  let session = Tpm.Backend.begin_session tm in
-  [
-    Test.make ~name:"sha256-1KB" (Staged.stage (fun () -> Crypto.Sha256.digest kb));
-    Test.make ~name:"hmac-1KB" (Staged.stage (fun () -> Crypto.Hmac.mac ~key:key32 kb));
-    Test.make ~name:"chacha20-4KB"
-      (Staged.stage (fun () -> Crypto.Chacha20.xor ~key:key32 ~nonce:nonce12 four_kb));
-    Test.make ~name:"rsa1024-sign" (Staged.stage (fun () -> Crypto.Rsa.sign rsa.secret "payload"));
-    Test.make ~name:"rsa1024-verify"
-      (Staged.stage (fun () -> Crypto.Rsa.verify rsa.public ~signature "payload"));
-    Test.make ~name:"tpm-quote-sign"
-      (Staged.stage (fun () -> Tpm.Backend.sign_with_session tm session "measurements"));
-    Test.make ~name:"pcr-extend"
-      (Staged.stage
-         (let pcrs = Tpm.Pcr.create ~count:16 in
-          fun () -> Tpm.Pcr.extend pcrs 0 "measurement"));
-  ]
-
-let run_micro () =
-  Experiments.Common.section "Micro-benchmarks (bechamel, host CPU time)";
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let tests = micro_tests () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-          Toolkit.Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-24s %12.1f ns/op\n" name est
-          | Some _ | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        results)
-    tests
-
-let entries =
-  Registry.entries
-  @ [
-      {
-        Registry.name = "micro";
-        doc = "bechamel micro-benchmarks of the primitives";
-        run =
-          (fun ~seed:_ ->
-            run_micro ();
-            { Registry.json = None; ok = true });
-      };
-    ]
-
 let usage () =
   Printf.eprintf
     "usage: main.exe [--list] [--json FILE] [EXPERIMENT...]\nvalid experiments: %s\n"
-    (String.concat ", " ("all" :: List.map (fun (e : Registry.entry) -> e.name) entries))
+    (String.concat ", "
+       ("all" :: List.map (fun (e : Registry.entry) -> e.name) Registry.entries))
 
 let parse_args argv =
   let rec go names json = function
@@ -122,7 +58,9 @@ let parse_args argv =
            "name: description" line per experiment (plus the bare "all"
            pseudo-name), success exit. *)
         print_endline "all: every experiment below";
-        List.iter (fun (e : Registry.entry) -> Printf.printf "%s: %s\n" e.name e.doc) entries;
+        List.iter
+          (fun (e : Registry.entry) -> Printf.printf "%s: %s\n" e.name e.doc)
+          Registry.entries;
         exit 0
     | "--json" :: path :: rest -> go names (Some path) rest
     | [ "--json" ] ->
@@ -134,7 +72,7 @@ let parse_args argv =
   let names, json = go [] None argv in
   (* An unknown or misspelled experiment must fail loudly, not silently
      run nothing and exit 0. *)
-  match Registry.select ~entries (if names = [] then [ "all" ] else names) with
+  match Registry.select (if names = [] then [ "all" ] else names) with
   | Ok selected -> (selected, json)
   | Error unknown ->
       Printf.eprintf "error: unknown experiment%s: %s\n"

@@ -114,7 +114,7 @@ let handle t plaintext =
   in
   match reply with Ok payload -> ok_reply payload | Error why -> error_reply why
 
-let create ~net ~ca ~seed ?(key_bits = 1024) server =
+let create ~net ~ca ~seed ?(key_bits = 1024) ~attestation_server server =
   match Hypervisor.Server.trust_backend server with
   | None -> Error `Not_secure
   | Some trust ->
@@ -132,6 +132,7 @@ let create ~net ~ca ~seed ?(key_bits = 1024) server =
         Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed
           ~on_request:(fun ~peer:_ plaintext -> handle t plaintext)
       in
+      Net.Secure_channel.Server.accept_only channel_server (String.equal attestation_server);
       Net.Network.register net (address_of name) (Net.Secure_channel.Server.handle channel_server);
       Ok t
 

@@ -16,10 +16,13 @@ val create :
   ca:Net.Ca.t ->
   seed:string ->
   ?key_bits:int ->
+  attestation_server:string ->
   Hypervisor.Server.t ->
   (t, [ `Not_secure ]) result
 (** Fails on servers without a Trust Module.  Registers the network
-    handler as a side effect. *)
+    handler as a side effect; its channel completes handshakes only with
+    the principal named [attestation_server], the AS of the server's
+    cluster (paper Fig. 3: only the AS tasks a cloud server). *)
 
 val address_of : string -> string
 (** [address_of server_name] is the network address of that server's

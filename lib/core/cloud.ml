@@ -104,10 +104,25 @@ let build ?(config = default_config) () =
           ~capabilities:(if secure then all_capabilities else [])
           ~key_bits:config.key_bits ~backend:(config.backend_of i) ?platform_root ~seed ())
   in
+  (* One Attestation Server per cluster of cloud servers; servers are
+     assigned to clusters round-robin by index. *)
+  let n_as = max 1 config.num_attestation_servers in
+  let as_name i =
+    if n_as = 1 then "attestation-server" else Printf.sprintf "attestation-server-%d" (i + 1)
+  in
+  let cluster_of host =
+    match String.index_opt host '-' with
+    | Some i -> (
+        match int_of_string_opt (String.sub host (i + 1) (String.length host - i - 1)) with
+        | Some n -> (n - 1) mod n_as
+        | None -> 0)
+    | None -> 0
+  in
   (* Attestation clients + enrollment for secure servers.  Classic modules
      enroll their identity key; vTPMs enroll key + binding epoch in the
      CA's vTPM registry; CVM devices enroll nowhere — their trust chain
-     terminates at the vendor root, not at the operator. *)
+     terminates at the vendor root, not at the operator.  Only the AS of
+     the server's cluster may task its client (paper Fig. 3). *)
   List.iter
     (fun server ->
       match Hypervisor.Server.trust_backend server with
@@ -121,17 +136,16 @@ let build ?(config = default_config) () =
               Privacy_ca.enroll_evtpm pca ~name:sname (Tpm.Backend.identity_public b)
                 ~epoch:(Tpm.Backend.binding_epoch b)
           | Tpm.Backend.Cvm_report -> ());
-          (match Attestation_client.create ~net ~ca ~seed ~key_bits:config.key_bits server with
+          (match
+             Attestation_client.create ~net ~ca ~seed ~key_bits:config.key_bits
+               ~attestation_server:(as_name (cluster_of sname)) server
+           with
           | Ok _client -> ()
           | Error `Not_secure -> ()))
     servers;
-  (* Attestation servers: one per cluster of cloud servers. *)
-  let n_as = max 1 config.num_attestation_servers in
   let attestation_servers =
     List.init n_as (fun i ->
-        let name =
-          if n_as = 1 then "attestation-server" else Printf.sprintf "attestation-server-%d" (i + 1)
-        in
+        let name = as_name i in
         let a =
           Attestation_server.create ~net ~ca ~pca ~refs:config.refs ~seed
             ~key_bits:config.key_bits ~name ()
@@ -147,15 +161,6 @@ let build ?(config = default_config) () =
         (* Only the controller may task the attestation server. *)
         Net.Secure_channel.Server.accept_only channel_server (String.equal "cloud-controller");
         a)
-  in
-  (* Cloud servers are assigned to AS clusters round-robin by index. *)
-  let cluster_of host =
-    match String.index_opt host '-' with
-    | Some i -> (
-        match int_of_string_opt (String.sub host (i + 1) (String.length host - i - 1)) with
-        | Some n -> (n - 1) mod n_as
-        | None -> 0)
-    | None -> 0
   in
   (* Controller. *)
   let controller =
@@ -273,6 +278,14 @@ module Customer = struct
         | Error e -> Error (`Forged (Format.asprintf "%a" Protocol.pp_verify_error e)))
 
   let create cloud ~name =
+    (* A customer certified under an infrastructure subject would pass that
+       principal's peer checks. *)
+    let named a = String.equal name (Attestation_server.name a) in
+    if
+      String.equal name (Controller.name cloud.controller)
+      || List.exists named cloud.attestation_servers
+      || Option.is_some (find_server cloud name)
+    then invalid_arg ("Cloud.Customer.create: " ^ name ^ " names a cloud principal");
     let identity =
       Net.Secure_channel.Identity.make cloud.ca
         ~seed:(name ^ "|" ^ string_of_int cloud.config.seed)

@@ -96,6 +96,11 @@ module Customer : sig
   val pp_error : Format.formatter -> error -> unit
 
   val create : cloud -> name:string -> t
+  (** Enrols a customer with the cloud's CA.  Raises [Invalid_argument]
+      when [name] is the controller's, an Attestation Server's or a cloud
+      server's: a certificate under that subject would pass its peer
+      checks. *)
+
   val name : t -> string
 
   val launch :

@@ -54,8 +54,9 @@ let quote_sign_for = function
 (* Batched attestation.  One session keypair and one quote signature cover a
    whole batch of measurement reports; what remains per report is Merkle
    hashing, three orders of magnitude cheaper than the RSA operations it
-   displaces (the micro bench puts SHA-256 at ~12 us/KB of host time; 40 us
-   models the Trust Module's slower internal engine). *)
+   displaces (the host hashes a KB in microseconds, see perf's
+   crypto.sha256_mb_s; 40 us models the Trust Module's slower internal
+   engine). *)
 let merkle_hash = Sim.Time.us 40
 
 (* Trust-Module side: build the tree, mint one session key, sign the root. *)

@@ -1,11 +1,12 @@
 (* Host wall-clock micro-benchmark of the RSA hot path: sign throughput at
    512/1024/2048 bits across the four (CRT, window) combinations, verify
-   throughput, and the verification memo's hit/miss cost.  Unlike the
-   simulated experiments this measures real CPU time — it is the artifact
-   (BENCH_crypto.json) that backs the calibrated {!Core.Costs} constants,
-   and its gate asserts the headline ratio (CRT must beat the classic
-   full-width path) so an accidental regression to the slow path fails
-   loudly. *)
+   throughput, and the verification memo's hit/miss cost; plus the
+   simulation heap and the Trust Module's quote signature and PCR extend.
+   Unlike the simulated experiments this measures real CPU time — it is
+   the artifact (BENCH_crypto.json) that backs the calibrated {!Core.Costs}
+   constants, and its gate asserts the headline ratio (CRT must beat the
+   classic full-width path) so an accidental regression to the slow path
+   fails loudly. *)
 
 type sign_row = {
   bits : int;
@@ -36,6 +37,10 @@ type heap_row = {
   h_iters : int;
 }
 
+(* The Trust Module operations under every measurement: a quote signature
+   with a 512-bit session key and one PCR extend. *)
+type tpm_row = { t_op : string; t_ops_per_s : float; t_ns_per_op : float; t_iters : int }
+
 type result = {
   scale : string;
   key_bits : int list;
@@ -43,6 +48,7 @@ type result = {
   verify : verify_row list;
   memo : memo_rates;
   heap : heap_row list;
+  tpm : tpm_row list;
   (* speedup of (crt, window) over the classic full-width bit-at-a-time
      path, per key size — the calibration ratios. *)
   sign_speedup : (int * float) list;
@@ -165,6 +171,21 @@ let run ~seed () =
         })
       [ 1024; 65536 ]
   in
+  let tpm =
+    let tm = Tpm.Backend.create ~key_bits:512 Tpm.Backend.Classic ~seed:"bench-tm" () in
+    let session = Tpm.Backend.begin_session tm in
+    let pcrs = Tpm.Pcr.create ~count:16 in
+    List.map
+      (fun (op, f) ->
+        let s_per_op, iters = time_per_op ~budget ~min_iters f in
+        let t_ns_per_op = 1e9 *. s_per_op in
+        { t_op = op; t_ops_per_s = 1.0 /. s_per_op; t_ns_per_op; t_iters = iters })
+      [
+        ( "tpm-quote-sign",
+          fun () -> ignore (Tpm.Backend.sign_with_session tm session "measurements" : _ option) );
+        ("pcr-extend", fun () -> ignore (Tpm.Pcr.extend pcrs 0 "measurement" : string));
+      ]
+  in
   let rate ~bits ~crt ~window =
     let r = List.find (fun r -> r.bits = bits && r.crt = crt && r.window = window) sign in
     r.ops_per_s
@@ -183,7 +204,7 @@ let run ~seed () =
   let crt_speedup_1024 =
     rate ~bits:1024 ~crt:true ~window:true /. rate ~bits:1024 ~crt:false ~window:true
   in
-  { scale; key_bits; sign; verify; memo; heap; sign_speedup; seed_speedup; crt_speedup_1024 }
+  { scale; key_bits; sign; verify; memo; heap; tpm; sign_speedup; seed_speedup; crt_speedup_1024 }
 
 (* A regression to the slow path shows up here even when every
    correctness test passes. *)
@@ -209,6 +230,10 @@ let print r =
     (fun h ->
       Printf.printf "  %-6d %24.0f %10.1fns\n" h.h_size h.h_ops_per_s h.h_ns_per_op)
     r.heap;
+  Printf.printf "  trust module:\n";
+  List.iter
+    (fun t -> Printf.printf "  %-14s %16.0f %10.1fns\n" t.t_op t.t_ops_per_s t.t_ns_per_op)
+    r.tpm;
   List.iter
     (fun (bits, f) -> Printf.printf "  crt+window vs classic @%d: %.2fx\n" bits f)
     r.sign_speedup;
@@ -270,6 +295,18 @@ let to_json ~seed r =
                    ("iters", Int h.h_iters);
                  ])
              r.heap) );
+      ( "tpm",
+        List
+          (List.map
+             (fun t ->
+               Obj
+                 [
+                   ("op", Str t.t_op);
+                   ("ops_per_s", Float t.t_ops_per_s);
+                   ("ns_per_op", Float t.t_ns_per_op);
+                   ("iters", Int t.t_iters);
+                 ])
+             r.tpm) );
       ( "seed_baseline",
         Obj
           (("note", Str "sign ops/s of the pre-CRT seed tree, reference host")

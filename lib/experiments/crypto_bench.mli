@@ -1,8 +1,10 @@
 (** Host wall-clock micro-benchmark of the RSA hot path (sign/verify ops/s
-    at 512/1024/2048 bits, CRT and window ablations, memo hit/miss).  This
-    is the one experiment that reports real CPU time rather than simulated
-    time; its output backs the calibrated {!Core.Costs} constants.  Set
-    [CLOUDMONATT_CRYPTO_SCALE=smoke] for a fast reduced-budget sweep. *)
+    at 512/1024/2048 bits, CRT and window ablations, memo hit/miss), the
+    simulation heap, and the Trust Module's quote signature and PCR extend.
+    This is the one experiment that reports real CPU time rather than
+    simulated time; its output backs the calibrated {!Core.Costs}
+    constants.  Set [CLOUDMONATT_CRYPTO_SCALE=smoke] for a fast
+    reduced-budget sweep. *)
 
 type sign_row = {
   bits : int;
@@ -25,6 +27,10 @@ type memo_rates = {
 (** Pop+push churn on the simulation kernel's binary heap. *)
 type heap_row = { h_size : int; h_ops_per_s : float; h_ns_per_op : float; h_iters : int }
 
+(** One Trust Module operation: ["tpm-quote-sign"] (512-bit session key)
+    or ["pcr-extend"]. *)
+type tpm_row = { t_op : string; t_ops_per_s : float; t_ns_per_op : float; t_iters : int }
+
 type result = {
   scale : string;
   key_bits : int list;
@@ -32,6 +38,7 @@ type result = {
   verify : verify_row list;
   memo : memo_rates;
   heap : heap_row list;
+  tpm : tpm_row list;
   sign_speedup : (int * float) list;
       (** (crt, window) over the classic full-width path, per key size *)
   seed_speedup : (int * float) list;

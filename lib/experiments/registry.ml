@@ -72,7 +72,8 @@ let entries =
     entry "audit" "verdict-transparency log overhead and fork detection" (fun ~seed ->
         report ~print:Audit_exp.print ~to_json:Audit_exp.to_json ~gate:Audit_exp.clean
           (Audit_exp.run ~seed ()));
-    entry "crypto" "RSA hot-path micro-benchmark (host CPU time)" (fun ~seed ->
+    entry "crypto" "RSA, event-heap and Trust Module micro-benchmarks (host CPU time)"
+      (fun ~seed ->
         report ~print:Crypto_bench.print ~to_json:(Crypto_bench.to_json ~seed)
           ~gate:Crypto_bench.clean (Crypto_bench.run ~seed ()));
     entry "fuzz" "oracle-checked fuzz campaign over generated histories" fuzz;
@@ -86,7 +87,7 @@ let entries =
     entry "ablations" "design-choice ablation studies" ablations;
   ]
 
-let select ?(entries = entries) requested =
+let select requested =
   let known name = name = "all" || List.exists (fun e -> e.name = name) entries in
   match List.filter (fun name -> not (known name)) requested with
   | [] ->

@@ -22,7 +22,7 @@ type entry = {
 val entries : entry list
 (** In [--list] order. *)
 
-val select : ?entries:entry list -> string list -> (entry list, string list) result
+val select : string list -> (entry list, string list) result
 (** [select names] is the entries named in [names], in table order, with
     ["all"] standing for every entry; [Error unknown] lists the names that
-    match nothing.  [entries] defaults to {!entries}. *)
+    match nothing. *)

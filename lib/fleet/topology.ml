@@ -14,6 +14,7 @@ type t = {
   servers : server array;
   vms : vm array;
   routing : (string, int) Hashtbl.t;  (* host -> AS cluster index *)
+  homes : vm array array;  (* VMs by home cluster, idx order *)
 }
 
 let make ~seed ~servers:n_servers ~vms:n_vms ~as_count =
@@ -38,7 +39,13 @@ let make ~seed ~servers:n_servers ~vms:n_vms ~as_count =
           host = srv.name;
         })
   in
-  { seed; as_count; servers; vms; routing }
+  let buckets = Array.make as_count [] in
+  (* Walk backwards so each cons-accumulated bucket comes out in idx order. *)
+  for i = n_vms - 1 downto 0 do
+    let vm = vms.(i) in
+    buckets.(vm.home) <- vm :: buckets.(vm.home)
+  done;
+  { seed; as_count; servers; vms; routing; homes = Array.map Array.of_list buckets }
 
 let seed t = t.seed
 let as_count t = t.as_count
@@ -48,14 +55,7 @@ let vms t = t.vms
 let cluster_of t host = Option.value ~default:0 (Hashtbl.find_opt t.routing host)
 let cluster_of_vm t vm = cluster_of t vm.host
 
-let home_slices t =
-  let buckets = Array.make t.as_count [] in
-  (* Walk backwards so each cons-accumulated bucket comes out in idx order. *)
-  for i = Array.length t.vms - 1 downto 0 do
-    let vm = t.vms.(i) in
-    buckets.(vm.home) <- vm :: buckets.(vm.home)
-  done;
-  Array.map Array.of_list buckets
+let home_slice t c = t.homes.(c)
 
 let pick_among prng ~pool ~hot ~hot_p =
   let n = Array.length pool in

@@ -42,9 +42,9 @@ val cluster_of : t -> string -> int
 
 val cluster_of_vm : t -> vm -> int
 
-val home_slices : t -> vm array array
-(** [home_slices t] partitions the fleet by home cluster; slice [c] holds
-    the VMs with [home = c], in [idx] order.  A slice may be empty. *)
+val home_slice : t -> int -> vm array
+(** [home_slice t c] holds the VMs with [home = c], in [idx] order; the
+    slices partition the fleet.  A slice may be empty. *)
 
 val pick_among :
   Sim.Prng.t -> pool:vm array -> hot:vm array -> hot_p:float -> vm

@@ -963,8 +963,8 @@ let test_registry_names_unique () =
     (List.length registry_names)
     (List.length (List.sort_uniq compare registry_names))
 
-(* bench/main.exe --list prints these in this order, then its own "micro"
-   row; scripts read that inventory. *)
+(* bench/main.exe --list prints these in this order; scripts read that
+   inventory. *)
 let test_registry_list_order () =
   Alcotest.(check (list string))
     "table order"
@@ -1102,6 +1102,7 @@ let test_gate_crypto () =
       verify = [ { C.v_bits = 1024; v_ops_per_s = 9000.0; v_ms_per_op = 0.1; v_iters = 5 } ];
       memo = { C.m_bits = 1024; hit_ops_per_s = 1e6; miss_ops_per_s = 9000.0; hit_speedup = 100.0 };
       heap = [ { C.h_size = 1024; h_ops_per_s = 1e7; h_ns_per_op = 100.0; h_iters = 5000 } ];
+      tpm = [];
       sign_speedup = [];
       seed_speedup = [];
       crt_speedup_1024;
@@ -1133,6 +1134,60 @@ let test_gate_fuzz () =
     (F.clean { r with F.planted = [ { caught with F.caught = false } ] });
   Alcotest.(check bool) "batch mismatch" false
     (F.clean { r with F.report = { report with batch_mismatches = [ (2015, "differs") ] } })
+
+(* --- EXPERIMENTS.md stays the code's own numbers -------------------------- *)
+
+(* The Fig. 9 and Fig. 11 tables in EXPERIMENTS.md, rendered from the
+   experiments at the bench seed: a cost change that moves them fails here
+   until the doc is regenerated. *)
+let doc_table ~heading =
+  (* dune runs tests in _build/default/test; a direct run starts at the root *)
+  let path = if Sys.file_exists "../EXPERIMENTS.md" then "../EXPERIMENTS.md" else "EXPERIMENTS.md" in
+  let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
+  let rec after_heading = function
+    | [] -> Alcotest.failf "EXPERIMENTS.md has no %S section" heading
+    | l :: rest -> if String.starts_with ~prefix:heading l then rest else after_heading rest
+  in
+  let rec table = function
+    | l :: rest when String.starts_with ~prefix:"|" l -> l :: table rest
+    | _ -> []
+  in
+  let rec first_table = function
+    | [] -> []
+    | l :: _ as ls when String.starts_with ~prefix:"|" l -> table ls
+    | _ :: rest -> first_table rest
+  in
+  String.concat "\n" (first_table (after_heading lines))
+
+let test_doc_fig9 () =
+  let stage (r : Experiments.Fig9.row) l = List.assoc l r.stages in
+  let rows =
+    List.map
+      (fun (r : Experiments.Fig9.row) ->
+        Printf.sprintf "| %s | %s | %.0f | %.0f | %.0f | %.0f | %.0f | %.0f | %.1f%% |" r.image
+          r.flavor (stage r "scheduling") (stage r "networking") (stage r "mapping")
+          (stage r "spawning") (stage r "attestation") r.total_ms r.attestation_pct)
+      (Experiments.Fig9.run ~seed:2015 ())
+  in
+  Alcotest.(check string) "Figure 9 table"
+    (String.concat "\n"
+       ("| image | flavor | sched | network | mapping | spawn | **attest** | total | att% |"
+       :: "|---|---|---|---|---|---|---|---|---|" :: rows))
+    (doc_table ~heading:"## Figure 9")
+
+let test_doc_fig11 () =
+  let rows =
+    List.map
+      (fun (r : Experiments.Fig11.row) ->
+        Printf.sprintf "| %s | %s | %.0f | %.0f | %.0f |" r.strategy r.flavor r.attestation_ms
+          r.response_ms (r.attestation_ms +. r.response_ms))
+      (Experiments.Fig11.run ~seed:2015 ())
+  in
+  Alcotest.(check string) "Figure 11 table"
+    (String.concat "\n"
+       ("| response | flavor | attestation | response | total |"
+       :: "|---|---|---|---|---|" :: rows))
+    (doc_table ~heading:"## Figure 11")
 
 let () =
   Alcotest.run "integration"
@@ -1223,5 +1278,10 @@ let () =
           Alcotest.test_case "crypto gate fires" `Quick test_gate_crypto;
           Alcotest.test_case "fuzz gate fires" `Quick test_gate_fuzz;
           Alcotest.test_case "faults gate fires" `Quick test_gate_faults;
+        ] );
+      ( "docs",
+        [
+          Alcotest.test_case "Figure 9 table matches EXPERIMENTS.md" `Quick test_doc_fig9;
+          Alcotest.test_case "Figure 11 table matches EXPERIMENTS.md" `Quick test_doc_fig11;
         ] );
     ]
