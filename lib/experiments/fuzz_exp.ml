@@ -35,14 +35,7 @@ let monitor_corpus = [ "seed=3 ops=L0.1.0;me200;t5000" ]
 let hunt ?(corpus = []) ?(oracle = "cache-consistency") ~bug ~bug_name ~seed ~max_runs ~ops
     () =
   let uncaught = { bug_name; caught = false; found_at_seed = -1; shrunk_ops = 0; repro = "" } in
-  let catches scenario =
-    match Fuzz.Replay.run ~bug scenario with
-    | exception _ -> false
-    | out ->
-        List.exists
-          (fun (v : Fuzz.Oracle.violation) -> v.oracle = oracle)
-          out.Fuzz.Replay.violations
-  in
+  let catches = Fuzz.Shrink.triggers ~bug ~oracle in
   let finish scenario =
     let shrunk, _ = Fuzz.Shrink.minimize ~bug ~oracle scenario in
     {

@@ -19,13 +19,6 @@ type report = {
   batch_mismatches : (int * string) list;
 }
 
-(* A replay that raises is as much a bug as an oracle violation; fold it
-   into the same failure shape so it shrinks like any other. *)
-let run_safe ?bug scenario =
-  match Replay.run ?bug scenario with
-  | out -> Ok out
-  | exception e -> Error (Printexc.to_string e)
-
 let status_trace (out : Replay.outcome) =
   List.map
     (fun (obs : Oracle.op_obs) ->
@@ -52,15 +45,19 @@ let batch_equiv ?bug scenario =
   let unbatch =
     List.map (function Op.Set_batching _ -> Op.Set_batching false | o -> o) strip
   in
-  match
-    ( run_safe ?bug { scenario with Op.ops = strip },
-      run_safe ?bug { scenario with Op.ops = unbatch } )
-  with
-  | Ok a, Ok b ->
+  let raised (out : Replay.outcome) =
+    List.find_map
+      (fun (v : Oracle.violation) -> if v.oracle = "exception" then Some v.detail else None)
+      out.violations
+  in
+  let a = Replay.run ?bug { scenario with Op.ops = strip } in
+  let b = Replay.run ?bug { scenario with Op.ops = unbatch } in
+  match (raised a, raised b) with
+  | Some e, _ | _, Some e -> Some ("twin replay raised: " ^ e)
+  | None, None ->
       if status_trace a <> status_trace b then
         Some "batched and unbatched twins delivered different verdict statuses"
       else None
-  | Error e, _ | _, Error e -> Some ("twin replay raised: " ^ e)
 
 let campaign ?(bug = Replay.No_bug) ?(check_determinism = true)
     ?(check_batch_equiv = true) ?(shrink_budget = 500) ~seed0 ~runs ~ops_per_run () =
@@ -75,21 +72,14 @@ let campaign ?(bug = Replay.No_bug) ?(check_determinism = true)
     let seed = seed0 + i in
     let scenario = Gen.generate ~seed ~ops:ops_per_run in
     total_ops := !total_ops + List.length scenario.Op.ops;
-    let first_violation =
-      match run_safe ~bug scenario with
-      | Ok out ->
-          total_vms := !total_vms + out.Replay.vms_launched;
-          total_attests := !total_attests + out.Replay.attests_run;
-          (if check_determinism then
-             match run_safe ~bug scenario with
-             | Ok out2 when out2.Replay.digest = out.Replay.digest -> ()
-             | _ -> incr det_mismatches);
-          (match out.Replay.violations with v :: _ -> Some v | [] -> None)
-      | Error e -> Some { Oracle.oracle = "exception"; op_index = -1; detail = e }
-    in
-    (match first_violation with
-    | None -> ()
-    | Some first ->
+    let out = Replay.run ~bug scenario in
+    total_vms := !total_vms + out.Replay.vms_launched;
+    total_attests := !total_attests + out.Replay.attests_run;
+    if check_determinism && (Replay.run ~bug scenario).Replay.digest <> out.Replay.digest then
+      incr det_mismatches;
+    (match out.Replay.violations with
+    | [] -> ()
+    | first :: _ ->
         let shrunk, shrink_replays =
           Shrink.minimize ~bug ~oracle:first.Oracle.oracle
             ~max_replays:shrink_budget scenario
@@ -98,7 +88,7 @@ let campaign ?(bug = Replay.No_bug) ?(check_determinism = true)
           { scenario; first; shrunk; repro = Op.to_string shrunk; shrink_replays }
           :: !failures);
     if
-      check_batch_equiv && first_violation = None
+      check_batch_equiv && out.Replay.violations = []
       && List.exists (function Op.Set_batching true -> true | _ -> false) scenario.Op.ops
     then begin
       incr batch_checked;

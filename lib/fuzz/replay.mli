@@ -36,3 +36,10 @@ type outcome = {
 }
 
 val run : ?bug:bug -> Op.scenario -> outcome
+(** Build the cloud, then step the ops in order; each step runs one op and
+    seals its {!Oracle.op_obs} into the oracles and the digest.  An op that
+    raises stops the replay: the ops before it stay sealed, and
+    [violations] ends with an [exception] violation at that op's index
+    whose detail is the printed exception.  This is the one place a
+    raising replay is reported; {!Shrink} and {!Campaign} treat it like
+    any other oracle. *)

@@ -1,14 +1,8 @@
 let triggers ?(bug = Replay.No_bug) ?oracle scenario =
-  match Replay.run ~bug scenario with
-  | exception _ ->
-      (* A crashing replay counts as the pseudo-oracle "exception", so a
-         crash found by the campaign shrinks like any other failure. *)
-      (match oracle with None | Some "exception" -> true | Some _ -> false)
-  | out -> (
-      match oracle with
-      | None -> out.Replay.violations <> []
-      | Some name ->
-          List.exists (fun v -> v.Oracle.oracle = name) out.Replay.violations)
+  let violations = (Replay.run ~bug scenario).Replay.violations in
+  match oracle with
+  | None -> violations <> []
+  | Some name -> List.exists (fun v -> v.Oracle.oracle = name) violations
 
 (* Split [lst] into [n] contiguous chunks of near-equal size. *)
 let split_into n lst =
