@@ -74,6 +74,8 @@ let audit_verdict_ms = Shard.audit_verdict_ms
    per-shard sequences — making the merged run reproducible bit-for-bit at
    any domain count. *)
 let run config =
+  if Array.length config.backends = 0 then
+    invalid_arg "Fleet.Driver.run: config.backends is empty; give at least one backend kind";
   let topology =
     Topology.make ~seed:config.seed ~servers:config.servers ~vms:config.vms
       ~as_count:config.as_count

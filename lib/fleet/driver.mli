@@ -102,7 +102,8 @@ type result = {
 
 val run : config -> result
 (** Deterministic: equal configs give equal results — including equal
-    [trace_digest] across different [domains] values. *)
+    [trace_digest] across different [domains] values.  Raises
+    [Invalid_argument] naming [backends] when that array is empty. *)
 
 val fingerprint : result -> string
 (** Hex SHA-256 over every result field except [config] and

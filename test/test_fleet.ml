@@ -429,6 +429,15 @@ let test_driver_deterministic_replay () =
        (Experiments.Json.to_string (Experiments.Fleet_exp.to_json ~host:false a))
        (Experiments.Json.to_string (Experiments.Fleet_exp.to_json ~host:false c)))
 
+let test_driver_rejects_empty_backends () =
+  (* Rejected before any shard exists, with the field named, rather than
+     as a bare index error from the first cluster's backend lookup. *)
+  match Fleet.Driver.run { smoke_config with Fleet.Driver.backends = [||] } with
+  | _ -> Alcotest.fail "an empty backends array must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message names the field"
+        "Fleet.Driver.run: config.backends is empty; give at least one backend kind" msg
+
 let sharded_config =
   (* Four home shards, churn and a live cache so arrivals, migrations and
      invalidations all cross shard boundaries during the run. *)
@@ -936,6 +945,8 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "deterministic replay" `Quick test_driver_deterministic_replay;
+          Alcotest.test_case "empty backends rejected" `Quick
+            test_driver_rejects_empty_backends;
           Alcotest.test_case "domains byte-identical" `Quick test_driver_domains_byte_identical;
           Alcotest.test_case "epoch-barrier migration invalidates" `Quick
             test_epoch_barrier_migration_invalidates;
