@@ -24,3 +24,14 @@ let scale_of_env () =
 
 let section title =
   Printf.printf "\n== %s ==\n%!" title
+
+let timed config =
+  let t0 = Unix.gettimeofday () in
+  let r = Fleet.Driver.run config in
+  (r, Unix.gettimeofday () -. t0)
+
+let same_fingerprint = function
+  | [] -> true
+  | first :: rest ->
+      let fp = Fleet.Driver.fingerprint first in
+      List.for_all (fun r -> String.equal (Fleet.Driver.fingerprint r) fp) rest

@@ -24,3 +24,11 @@ val scale_of_env : unit -> [ `Default | `Smoke ]
 
 val section : string -> unit
 (** Print an experiment header. *)
+
+val timed : Fleet.Driver.config -> Fleet.Driver.result * float
+(** {!Fleet.Driver.run} and the host wall-clock seconds it took. *)
+
+val same_fingerprint : Fleet.Driver.result list -> bool
+(** Every result has the first one's {!Fleet.Driver.fingerprint} ([true]
+    on []): the domain-curve determinism gate of the fleet and monitor
+    experiments. *)

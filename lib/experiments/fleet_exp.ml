@@ -89,11 +89,6 @@ let sharded_scenario ~seed = function
         },
         [ 1; 2 ] )
 
-let timed config =
-  let t0 = Unix.gettimeofday () in
-  let r = Fleet.Driver.run config in
-  (r, Unix.gettimeofday () -. t0)
-
 let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
   let sweep, scale_name =
     match scale with
@@ -110,7 +105,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
                 let config =
                   { sweep.base with Fleet.Driver.rate_per_s = rate; as_count; ttl }
                 in
-                let r, host_wall_s = timed config in
+                let r, host_wall_s = Common.timed config in
                 { rate; as_count; ttl; domains = 1; host_wall_s; r })
               sweep.ttls)
           sweep.as_counts)
@@ -130,7 +125,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
         backends = [| Tpm.Backend.Classic; Tpm.Backend.Evtpm; Tpm.Backend.Cvm_report |];
       }
     in
-    let r, host_wall_s = timed config in
+    let r, host_wall_s = Common.timed config in
     { rate; as_count = 3; ttl = 0; domains = 1; host_wall_s; r }
   in
   (* The sharded scenario, once per domain count.  Identity is judged on
@@ -141,7 +136,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
     let curve =
       List.map
         (fun domains ->
-          let r, host_wall_s = timed { config with Fleet.Driver.domains } in
+          let r, host_wall_s = Common.timed { config with Fleet.Driver.domains } in
           {
             rate = config.Fleet.Driver.rate_per_s;
             as_count = config.Fleet.Driver.as_count;
@@ -152,16 +147,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
           })
         domain_counts
     in
-    let identical =
-      match curve with
-      | [] -> true
-      | base :: rest ->
-          let fp = Fleet.Driver.fingerprint base.r in
-          List.for_all
-            (fun row -> String.equal (Fleet.Driver.fingerprint row.r) fp)
-            rest
-    in
-    { curve; identical }
+    { curve; identical = Common.same_fingerprint (List.map (fun row -> row.r) curve) }
   in
   { seed; scale = scale_name; rows = rows @ [ hetero ] @ sharded.curve; sharded }
 

@@ -84,11 +84,6 @@ let storm_menu ~at ~vms =
       [ Fleet.Monitor.Migration_wave { at; count = max 1 (vms / 10) } ] );
   ]
 
-let timed config =
-  let t0 = Unix.gettimeofday () in
-  let r = Fleet.Driver.run config in
-  (r, Unix.gettimeofday () -. t0)
-
 let time_to_detect (r : Fleet.Driver.result) =
   List.find_map
     (fun (s : Fleet.Driver.storm_outcome) ->
@@ -120,7 +115,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
         domains;
       }
     in
-    let r, host_wall_s = timed config in
+    let r, host_wall_s = Common.timed config in
     { budget; storm; domains; host_wall_s; r }
   in
   let rows =
@@ -142,16 +137,7 @@ let run ?(seed = 2015) ?(scale = Common.scale_of_env ()) () =
     let curve =
       List.map (fun domains -> row ~budget ~storm ~storms ~domains) domain_counts
     in
-    let identical =
-      match curve with
-      | [] -> true
-      | base :: rest ->
-          let fp = Fleet.Driver.fingerprint base.r in
-          List.for_all
-            (fun row -> String.equal (Fleet.Driver.fingerprint row.r) fp)
-            rest
-    in
-    { curve; identical }
+    { curve; identical = Common.same_fingerprint (List.map (fun row -> row.r) curve) }
   in
   { seed; scale = scale_name; rows; sharded }
 
