@@ -1,4 +1,8 @@
-type t = { trust : Tpm.Backend.t; kernel : Monitors.Monitor_kernel.t }
+type t = {
+  identity : Net.Secure_channel.Identity.t;
+  trust : Tpm.Backend.t;
+  kernel : Monitors.Monitor_kernel.t;
+}
 
 let address_of name = "att:" ^ name
 
@@ -103,7 +107,7 @@ let measure_batch t (req : Protocol.batch_measure_request) =
          br_endorsement = session.endorsement;
        })
 
-let handle t plaintext =
+let request_handler t ~peer:_ plaintext =
   let reply =
     match Protocol.decode_batch_measure_request plaintext with
     | Some req -> measure_batch t req
@@ -114,7 +118,7 @@ let handle t plaintext =
   in
   match reply with Ok payload -> ok_reply payload | Error why -> error_reply why
 
-let create ~net ~ca ~seed ?(key_bits = 1024) ~attestation_server server =
+let create ~ca ~seed ?(key_bits = 1024) server =
   match Hypervisor.Server.trust_backend server with
   | None -> Error `Not_secure
   | Some trust ->
@@ -127,14 +131,9 @@ let create ~net ~ca ~seed ?(key_bits = 1024) ~attestation_server server =
       let identity =
         Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|attclient") ~bits:key_bits ~name ()
       in
-      let t = { trust; kernel = Monitors.Monitor_kernel.create server } in
-      let channel_server =
-        Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed
-          ~on_request:(fun ~peer:_ plaintext -> handle t plaintext)
-      in
-      Net.Secure_channel.Server.accept_only channel_server (String.equal attestation_server);
-      Net.Network.register net (address_of name) (Net.Secure_channel.Server.handle channel_server);
-      Ok t
+      Ok { identity; trust; kernel = Monitors.Monitor_kernel.create server }
+
+let identity t = t.identity
 
 let measurement_cost ~backend (req : Protocol.measure_request) =
   let n =

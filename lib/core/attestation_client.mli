@@ -1,7 +1,7 @@
 (** Attestation Client — the host-VM daemon on each secure cloud server
     (the "oat client" + Monitor Kernel + Trust Module glue of Figure 2).
 
-    Registered on the network at ["att:<server-name>"], behind a secure
+    Served on the network at ["att:<server-name>"], behind a secure
     channel authenticated with the server's identity key.  For each
     measurement request it: generates a fresh session attestation keypair
     in the Trust Module, collects the requested measurements through the
@@ -12,17 +12,22 @@
 type t
 
 val create :
-  net:Net.Network.t ->
   ca:Net.Ca.t ->
   seed:string ->
   ?key_bits:int ->
-  attestation_server:string ->
   Hypervisor.Server.t ->
   (t, [ `Not_secure ]) result
-(** Fails on servers without a Trust Module.  Registers the network
-    handler as a side effect; its channel completes handshakes only with
-    the principal named [attestation_server], the AS of the server's
-    cluster (paper Fig. 3: only the AS tasks a cloud server). *)
+(** Fails on servers without a Trust Module.  Registers nothing: {!Cloud}
+    serves {!request_handler} at {!address_of} the server, accepting only
+    the AS of the server's cluster (paper Fig. 3: only the AS tasks a cloud
+    server). *)
+
+val identity : t -> Net.Secure_channel.Identity.t
+(** The channel identity, certified under the server's name. *)
+
+val request_handler : t -> peer:string -> string -> string
+(** The on-request function for the client's secure channel: answers one
+    single or batched measurement request (recognised by its wire magic). *)
 
 val address_of : string -> string
 (** [address_of server_name] is the network address of that server's

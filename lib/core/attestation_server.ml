@@ -26,27 +26,24 @@ type t = {
   identity : Net.Secure_channel.Identity.t;
   drbg : Crypto.Drbg.t;
   refs : Interpret.refs;
-  mutable vm_image_lookup : string -> string option;
+  clock : unit -> Sim.Time.t;  (* reports carry their production time *)
+  vm_image : string -> string option;  (* Vid -> image name *)
+  backend_of : string -> Tpm.Backend.kind;  (* server name -> trust backend *)
+  platform_root : Crypto.Rsa.public option;  (* vendor root for [Cvm_report] servers *)
   hop : Hop.t;  (* cached channels to the cloud servers' attestation clients *)
   mutable history : history_entry list; (* newest first *)
   mutable count : int;
   mutable degraded : int;
-  mutable engine_now : unit -> Sim.Time.t;
   (* Verdict transparency log (lib/audit), opt-in.  When present, every
      signed verdict is appended and its inclusion receipt rides the service
      reply as a trailing block; when absent the reply bytes are exactly the
      pre-audit format. *)
   mutable audit : Audit.Log.t option;
   mutable receipts : Audit.Receipt.t list; (* this call's receipts, newest first *)
-  (* Which trust backend each cloud server runs (wired by Cloud from the
-     controller's database); defaults to classic everywhere, which keeps a
-     homogeneous fleet on the exact pre-backend verification path. *)
-  mutable backend_of : string -> Tpm.Backend.kind;
-  (* Hardware vendor root for [Cvm_report] servers. *)
-  mutable platform_root : Crypto.Rsa.public option;
 }
 
-let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-server") () =
+let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-server") ~clock
+    ~vm_image ~backend_of ?platform_root () =
   let identity =
     Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|as") ~bits:key_bits ~name ()
   in
@@ -56,7 +53,10 @@ let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-se
     identity;
     drbg = Crypto.Drbg.create ~seed:(seed ^ "|as-drbg");
     refs;
-    vm_image_lookup = (fun _ -> None);
+    clock;
+    vm_image;
+    backend_of;
+    platform_root;
     hop =
       Hop.create ~net ~identity ~ca:(Net.Ca.public ca)
         ~seed:(fun server -> name ^ "->" ^ server)
@@ -64,21 +64,14 @@ let create ~net ~ca ~pca ~refs ~seed ?(key_bits = 1024) ?(name = "attestation-se
     history = [];
     count = 0;
     degraded = 0;
-    engine_now = (fun () -> 0);
     audit = None;
     receipts = [];
-    backend_of = (fun _ -> Tpm.Backend.Classic);
-    platform_root = None;
   }
 
 let name t = t.name
 let identity t = t.identity
 let public_key t = t.identity.Net.Secure_channel.Identity.keypair.public
 let refs t = t.refs
-let set_vm_image_lookup t f = t.vm_image_lookup <- f
-let set_clock t f = t.engine_now <- f
-let set_backend_lookup t f = t.backend_of <- f
-let set_platform_root t key = t.platform_root <- Some key
 
 let enable_audit t =
   match t.audit with
@@ -87,7 +80,7 @@ let enable_audit t =
       let log =
         Audit.Log.create ~log_id:t.name
           ~key:t.identity.Net.Secure_channel.Identity.keypair.secret
-          ~clock:(fun () -> t.engine_now ())
+          ~clock:t.clock
           ()
       in
       t.audit <- Some log;
@@ -108,7 +101,7 @@ let ( let* ) = Result.bind
 
 let record t vid property status =
   t.count <- t.count + 1;
-  t.history <- { at = t.engine_now (); vid; property; status } :: t.history
+  t.history <- { at = t.clock (); vid; property; status } :: t.history
 
 (* Produce the signed AS report for [report], recording it in the history.
    With auditing on, the serialized signed report is also appended to the
@@ -140,16 +133,16 @@ let stale_binding_report t vid property =
     property;
     status = Report.Compromised "vtpm-stale-binding: restored vTPM state was not re-registered";
     evidence = "session-key endorsement carries a stale or outdated binding epoch";
-    produced_at = t.engine_now ();
+    produced_at = t.clock ();
   }
 
 let interpret t ledger vid property values_raw =
   Ledger.add ledger "interpret" Costs.interpret;
   let values = Option.value ~default:[] (Monitors.Measurement.decode_values values_raw) in
   let status, evidence =
-    Interpret.interpret t.refs ~image_name:(t.vm_image_lookup vid) property values
+    Interpret.interpret t.refs ~image_name:(t.vm_image vid) property values
   in
-  { Report.vid; property; status; evidence; produced_at = t.engine_now () }
+  { Report.vid; property; status; evidence; produced_at = t.clock () }
 
 let verified check = Result.map_error (fun e -> `Verification e) check
 
@@ -237,7 +230,7 @@ let appraise t ~server ~items ~nonce round =
     in
     List.map
       (fun (vid, property) ->
-        let status = Report.Unknown reason and produced_at = t.engine_now () in
+        let status = Report.Unknown reason and produced_at = t.clock () in
         Ok { Report.vid; property; status; evidence = "no measurements collected"; produced_at })
       items
   in

@@ -30,39 +30,34 @@ val create :
   seed:string ->
   ?key_bits:int ->
   ?name:string ->
+  clock:(unit -> Sim.Time.t) ->
+  vm_image:(string -> string option) ->
+  backend_of:(string -> Tpm.Backend.kind) ->
+  ?platform_root:Crypto.Rsa.public ->
   unit ->
   t
-(** Registers nothing on the network by itself (the controller talks to it
-    through {!handle_controller_request} wired up by {!Cloud}); [name]
-    defaults to ["attestation-server"]. *)
+(** Registers nothing on the network: {!Cloud} serves {!request_handler}
+    under [name] (default ["attestation-server"]), accepting only the
+    controller.
+    - [clock] stamps every report and history entry with its production
+      time.
+    - [vm_image] resolves Vid -> image name for the interpreter (the
+      prototype reads the controller's nova database).
+    - [backend_of] names the trust backend each cloud server runs.  It
+      selects the trust anchor of the one trust gate both {!attest} and
+      {!attest_batch} pass through: classic and vTPM endorsements go
+      through the Privacy CA — the vTPM registry additionally enforcing
+      the binding epoch, so a restored-but-not-rebound module yields a
+      signed [Compromised] verdict rather than a certificate, once its
+      session signature and N3 echo check out — and CVM report chains are
+      checked against the hardware vendor root alone.
+    - [platform_root] is that vendor root's verification key; without it
+      no [Cvm_report] server can be appraised ([`No_platform_root]). *)
 
 val name : t -> string
 val identity : t -> Net.Secure_channel.Identity.t
 val public_key : t -> Crypto.Rsa.public
 val refs : t -> Interpret.refs
-
-val set_vm_image_lookup : t -> (string -> string option) -> unit
-(** How the interpreter resolves Vid -> image name (reads the controller's
-    nova database in the prototype). *)
-
-val set_clock : t -> (unit -> Sim.Time.t) -> unit
-(** Wire the simulation clock in (done by {!Cloud}); reports carry the
-    production time. *)
-
-val set_backend_lookup : t -> (string -> Tpm.Backend.kind) -> unit
-(** Which trust backend each cloud server runs, keyed by server name
-    (wired by {!Cloud} from the controller's database).  Defaults to
-    [Classic] everywhere.  The lookup selects the trust anchor of the one
-    trust gate both {!attest} and {!attest_batch} pass through: classic and
-    vTPM endorsements go through the Privacy CA — the vTPM registry
-    additionally enforcing the binding epoch, so a restored-but-not-rebound
-    module yields a signed [Compromised] verdict rather than a certificate,
-    once its session signature and N3 echo check out — and CVM report
-    chains are checked against the hardware vendor root alone. *)
-
-val set_platform_root : t -> Crypto.Rsa.public -> unit
-(** The hardware vendor's root verification key, required before any
-    [Cvm_report] server can be appraised ([`No_platform_root] otherwise). *)
 
 val enable_audit : t -> Audit.Log.t
 (** Switch the verdict transparency log on (idempotent): every signed
@@ -84,7 +79,7 @@ val attest :
 
     {!attest} and {!attest_batch} are one appraisal round that differs only
     in its wire format: the same trust gate (per backend, see
-    {!set_backend_lookup}), the same retry loop and the same signing.
+    {!create}'s [backend_of]), the same retry loop and the same signing.
 
     Rides the fault-tolerance stack through {!Hop}, and if the attestation
     path is still unavailable after {!Hop.attempts} from-scratch rounds

@@ -389,13 +389,13 @@ let stale_vtpm_as ~echo =
   in
   let identity = Net.Secure_channel.Identity.make ca ~seed:"srv" ~bits:512 ~name:"server-1" () in
   let srv =
-    Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed:"srv" ~on_request
+    Net.Secure_channel.Server.create ~identity ~ca:(Net.Ca.public ca) ~seed:"srv"
+      ~accept:(fun _ -> true) ~on_request
   in
   Net.Network.register net "att:server-1" (Net.Secure_channel.Server.handle srv);
   let refs = Interpret.default_refs in
-  let as_ = Attestation_server.create ~net ~ca ~pca ~refs ~seed:"as" ~key_bits:512 () in
-  Attestation_server.set_backend_lookup as_ (fun _ -> Tpm.Backend.Evtpm);
-  as_
+  Attestation_server.create ~net ~ca ~pca ~refs ~seed:"as" ~key_bits:512
+    ~clock:(fun () -> 0) ~vm_image:(fun _ -> None) ~backend_of:(fun _ -> Tpm.Backend.Evtpm) ()
 
 (* A stale binding is only recognised, never certified, so the session
    signature and the N3 echo are all that keep an old reply from becoming

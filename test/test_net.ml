@@ -97,7 +97,8 @@ let test_network_transfer_time_scales () =
 
 (* --- Secure channel ----------------------------------------------------------- *)
 
-let setup_channel ?(server_name = "server") ?(client_name = "client") () =
+let setup_channel ?(server_name = "server") ?(client_name = "client") ?(accept = fun _ -> true)
+    () =
   let ca_t = Lazy.force ca in
   let net = make_net () in
   let server_id = identity server_name in
@@ -105,7 +106,7 @@ let setup_channel ?(server_name = "server") ?(client_name = "client") () =
   let received = ref [] in
   let server =
     Net.Secure_channel.Server.create ~identity:server_id ~ca:(Net.Ca.public ca_t) ~seed:"srv"
-      ~on_request:(fun ~peer msg ->
+      ~accept ~on_request:(fun ~peer msg ->
         received := (peer, msg) :: !received;
         "ok:" ^ msg)
   in
@@ -167,9 +168,8 @@ let test_channel_foreign_ca_client_rejected () =
   | Error (`Rejected _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Net.Secure_channel.pp_error e
 
-let test_channel_accept_only () =
-  let _net, server, client_id, transport, _ = setup_channel () in
-  Net.Secure_channel.Server.accept_only server (String.equal "vip");
+let test_channel_accept_rule () =
+  let _net, _server, client_id, transport, _ = setup_channel ~accept:(String.equal "vip") () in
   (match
      Net.Secure_channel.Client.connect ~identity:client_id ~ca:(Net.Ca.public (Lazy.force ca))
        ~seed:"cl" ~peer:"server" ~transport
@@ -372,7 +372,7 @@ let test_channel_retried_record_idempotent () =
   let hits = ref 0 in
   let server =
     Net.Secure_channel.Server.create ~identity:server_id ~ca:(Net.Ca.public ca_t) ~seed:"srv"
-      ~on_request:(fun ~peer:_ msg ->
+      ~accept:(fun _ -> true) ~on_request:(fun ~peer:_ msg ->
         incr hits;
         "ok:" ^ msg)
   in
@@ -405,7 +405,7 @@ let test_channel_retry_after_reply_cache_hit () =
   let received = ref [] in
   let server =
     Net.Secure_channel.Server.create ~identity:server_id ~ca:(Net.Ca.public ca_t) ~seed:"srv"
-      ~on_request:(fun ~peer:_ msg ->
+      ~accept:(fun _ -> true) ~on_request:(fun ~peer:_ msg ->
         received := msg :: !received;
         "ok:" ^ msg)
   in
@@ -505,7 +505,7 @@ let () =
           Alcotest.test_case "many calls" `Quick test_channel_many_calls;
           Alcotest.test_case "wrong peer name" `Quick test_channel_wrong_peer_name;
           Alcotest.test_case "foreign CA client" `Quick test_channel_foreign_ca_client_rejected;
-          Alcotest.test_case "accept_only" `Quick test_channel_accept_only;
+          Alcotest.test_case "accept rule" `Quick test_channel_accept_rule;
           Alcotest.test_case "tamper detected" `Quick test_channel_tamper_detected;
           Alcotest.test_case "replay rejected" `Quick test_channel_replay_rejected;
           Alcotest.test_case "sessions counted" `Quick test_channel_sessions_counted;
