@@ -727,6 +727,24 @@ let test_merkle_bounds () =
     (Invalid_argument "Merkle.proof: leaf index out of range") (fun () ->
       ignore (M.proof [ "a"; "b" ] 2))
 
+(* Every root and every proof of the trees over 1 to 65 leaves, digested.
+   Captured from the level-wise construction before the recursive split
+   became the only one. *)
+let pinned_merkle_digest =
+  "97d33dd0c57cc45bbda8ef989548f2994f76bf2a436e0f00011bb0bb5ba592b8"
+
+let test_merkle_pinned () =
+  let ctx = Buffer.create 4096 in
+  for n = 1 to 65 do
+    let leaves = mk_leaves n in
+    Buffer.add_string ctx (M.root leaves);
+    List.iter
+      (fun i -> Buffer.add_string ctx (Wire.Codec.encode (fun e -> M.encode e (M.proof leaves i))))
+      (List.init n Fun.id)
+  done;
+  Alcotest.(check string) "roots and proofs" pinned_merkle_digest
+    (hex (Crypto.Sha256.digest (Buffer.contents ctx)))
+
 let test_merkle_node_count () =
   (* n leaf hashes plus interior nodes; for a perfect tree of 4: 4 + 2 + 1. *)
   Alcotest.(check int) "1 leaf" 1 (M.node_count 1);
@@ -959,6 +977,7 @@ let () =
           Alcotest.test_case "domain separation" `Quick test_merkle_domain_separation;
           Alcotest.test_case "bounds" `Quick test_merkle_bounds;
           Alcotest.test_case "node_count" `Quick test_merkle_node_count;
+          Alcotest.test_case "roots and proofs pinned" `Quick test_merkle_pinned;
           Alcotest.test_case "prefix roots (1..65)" `Quick test_merkle_prefix_root_matches;
           Alcotest.test_case "ragged inclusion (1..65)" `Quick test_merkle_inclusion_ragged;
           Alcotest.test_case "consistency all pairs (1..65)" `Quick
