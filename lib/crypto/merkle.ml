@@ -1,6 +1,12 @@
-(* Binary Merkle tree with domain-separated leaf/node hashes.  Odd nodes at
-   a level are promoted unchanged, so the shape depends only on the leaf
-   count and promoted leaves simply get shorter proofs. *)
+(* Binary Merkle tree with domain-separated leaf/node hashes, built by the
+   RFC 6962 recursive split: a span of two or more leaves splits at the
+   largest power of two below its size.  This is the tree that pairs nodes
+   level by level and promotes an odd last node unchanged, so the shape
+   depends only on the leaf count and a promoted leaf simply gets a shorter
+   proof.  Every function below takes a subtree-root oracle [sub lo hi]
+   (the root over leaves [lo, hi)) or builds one from a leaf list, so
+   incremental logs (lib/audit) can memoize interior hashes across
+   appends and serve proofs against any historical tree size. *)
 
 let leaf_hash data = Sha256.digest_list [ "merkle-leaf|"; data ]
 let node_hash l r = Sha256.digest_list [ "merkle-node|"; l; r ]
@@ -9,106 +15,6 @@ let node_hash l r = Sha256.digest_list [ "merkle-node|"; l; r ]
 type side = Sibling_left | Sibling_right
 
 type proof = (side * string) list (* leaf -> root order *)
-
-(* All levels bottom-up; the last has exactly one element, the root. *)
-let levels leaves =
-  if leaves = [] then invalid_arg "Merkle: no leaves";
-  let rec up acc level =
-    if Array.length level = 1 then List.rev (level :: acc)
-    else begin
-      let n = Array.length level in
-      let next =
-        Array.init
-          ((n + 1) / 2)
-          (fun i ->
-            if (2 * i) + 1 < n then node_hash level.(2 * i) level.((2 * i) + 1)
-            else level.(2 * i))
-      in
-      up (level :: acc) next
-    end
-  in
-  up [] (Array.of_list (List.map leaf_hash leaves))
-
-let root leaves =
-  match List.rev (levels leaves) with
-  | [| r |] :: _ -> r
-  | _ -> assert false
-
-let proof leaves i =
-  let ls = levels leaves in
-  if i < 0 || i >= List.length leaves then
-    invalid_arg "Merkle.proof: leaf index out of range";
-  let rec walk i acc = function
-    | [] | [ _ ] -> List.rev acc
-    | level :: rest ->
-        let sib = i lxor 1 in
-        let acc =
-          if sib < Array.length level then
-            let side = if sib < i then Sibling_left else Sibling_right in
-            (side, level.(sib)) :: acc
-          else acc (* promoted unchanged: nothing to hash at this level *)
-        in
-        walk (i / 2) acc rest
-  in
-  walk i [] ls
-
-let verify ~root:expected ~leaf p =
-  let h =
-    List.fold_left
-      (fun h (side, sib) ->
-        match side with
-        | Sibling_left -> node_hash sib h
-        | Sibling_right -> node_hash h sib)
-      (leaf_hash leaf) p
-  in
-  String.equal h expected
-
-let proof_length = List.length
-
-(* The side sequence (leaf -> root) of leaf [i]'s path in a tree over
-   [size] leaves.  A path's sides determine the leaf position uniquely, so
-   comparing them binds a claimed index to a side-tagged proof. *)
-let expected_sides ~size i =
-  let rec go lo hi i =
-    if hi - lo <= 1 then []
-    else begin
-      (* Largest power of two strictly below the span: RFC 6962 split. *)
-      let rec k_split n k = if 2 * k < n then k_split n (2 * k) else k in
-      let k = k_split (hi - lo) 1 in
-      if i < lo + k then go lo (lo + k) i @ [ Sibling_right ]
-      else go (lo + k) hi i @ [ Sibling_left ]
-    end
-  in
-  go 0 size i
-
-let verify_at ~root ~leaf ~index ~size p =
-  index >= 0 && index < size
-  && List.map fst p = expected_sides ~size index
-  && verify ~root ~leaf p
-
-let node_count n =
-  if n <= 0 then 0
-  else begin
-    (* n leaf hashes, plus one node hash per combined pair at each level. *)
-    let rec interior n acc = if n <= 1 then acc else interior ((n + 1) / 2) (acc + (n / 2)) in
-    n + interior n 0
-  end
-
-let max_proof_length n =
-  if n <= 1 then 0
-  else begin
-    let rec depth n acc = if n <= 1 then acc else depth ((n + 1) / 2) (acc + 1) in
-    depth n 0
-  end
-
-(* --- RFC 6962-style log views ---------------------------------------------
-   The level-wise promote-odd construction above produces exactly the
-   RFC 6962 tree (recursive split at the largest power of two below the
-   leaf count), so append-only logs can serve inclusion proofs against any
-   historical tree size and consistency proofs between two sizes, and both
-   verify against roots produced by [root].  The functions below are
-   parameterised by a subtree-root oracle [sub lo hi] so incremental logs
-   (lib/audit) can memoize interior hashes across appends. *)
 
 let empty_root = Sha256.digest "merkle-empty|"
 
@@ -131,6 +37,68 @@ let inclusion_with ~sub ~size i =
     end
   in
   path 0 size i
+
+(* The subtree-root oracle over a list of leaf data, and the leaf count. *)
+let sub_of_leaves leaves =
+  let hashes = Array.of_list (List.map leaf_hash leaves) in
+  let rec sub lo hi =
+    if hi - lo = 1 then hashes.(lo)
+    else begin
+      let k = k_split (hi - lo) in
+      node_hash (sub lo (lo + k)) (sub (lo + k) hi)
+    end
+  in
+  (sub, Array.length hashes)
+
+let nonempty leaves =
+  let sub, n = sub_of_leaves leaves in
+  if n = 0 then invalid_arg "Merkle: no leaves";
+  (sub, n)
+
+let root leaves =
+  let sub, n = nonempty leaves in
+  sub 0 n
+
+let proof leaves i =
+  let sub, n = nonempty leaves in
+  if i < 0 || i >= n then invalid_arg "Merkle.proof: leaf index out of range";
+  inclusion_with ~sub ~size:n i
+
+let verify ~root:expected ~leaf p =
+  let h =
+    List.fold_left
+      (fun h (side, sib) ->
+        match side with
+        | Sibling_left -> node_hash sib h
+        | Sibling_right -> node_hash h sib)
+      (leaf_hash leaf) p
+  in
+  String.equal h expected
+
+let proof_length = List.length
+
+(* A path's sides determine the leaf position uniquely, so comparing them
+   with the sides of leaf [index]'s path binds the claimed index to the
+   proof. *)
+let verify_at ~root ~leaf ~index ~size p =
+  index >= 0 && index < size
+  && List.map fst p = List.map fst (inclusion_with ~sub:(fun _ _ -> "") ~size index)
+  && verify ~root ~leaf p
+
+let node_count n =
+  if n <= 0 then 0
+  else begin
+    (* n leaf hashes, plus one node hash per combined pair at each level. *)
+    let rec interior n acc = if n <= 1 then acc else interior ((n + 1) / 2) (acc + (n / 2)) in
+    n + interior n 0
+  end
+
+let max_proof_length n =
+  if n <= 1 then 0
+  else begin
+    let rec depth n acc = if n <= 1 then acc else depth ((n + 1) / 2) (acc + 1) in
+    depth n 0
+  end
 
 let consistency_with ~sub ~old_size ~size =
   if old_size < 0 || old_size > size then
@@ -192,17 +160,6 @@ let verify_consistency ~old_size ~old_root ~size ~root p =
   end
 
 (* List-of-leaves conveniences (tests, small verifiers). *)
-
-let sub_of_leaves leaves =
-  let hashes = Array.of_list (List.map leaf_hash leaves) in
-  let rec sub lo hi =
-    if hi - lo = 1 then hashes.(lo)
-    else begin
-      let k = k_split (hi - lo) in
-      node_hash (sub lo (lo + k)) (sub (lo + k) hi)
-    end
-  in
-  (sub, Array.length hashes)
 
 let root_prefix leaves ~size =
   let sub, n = sub_of_leaves leaves in

@@ -6,9 +6,11 @@
 
     Leaf and interior hashes are domain-separated (a leaf digest can never
     be replayed as an interior node or vice versa), which blocks the
-    classic second-preimage tricks on unbalanced trees.  Odd nodes at any
-    level are promoted unchanged, so the tree shape is a deterministic
-    function of the leaf count alone. *)
+    classic second-preimage tricks on unbalanced trees.  The tree is the
+    RFC 6962 one: a span of two or more leaves splits at the largest power
+    of two below its size, which is the same as pairing nodes level by
+    level and promoting an odd last node unchanged.  Its shape is a
+    deterministic function of the leaf count alone. *)
 
 type proof
 (** An inclusion proof: the sibling hashes from a leaf up to the root,
@@ -54,11 +56,9 @@ val decode : Wire.Codec.Dec.t -> proof
 
 (** {1 RFC 6962-style log views}
 
-    The promote-odd construction above builds exactly the RFC 6962 tree
-    (recursive split at the largest power of two below the leaf count), so
-    an append-only log can serve inclusion proofs against any historical
-    tree size, and consistency proofs showing one tree head is a prefix of
-    a later one.  Proof {e generation} is parameterised by a subtree-root
+    An append-only log serves inclusion proofs against any historical tree
+    size, and consistency proofs showing one tree head is a prefix of a
+    later one.  Proof {e generation} is parameterised by a subtree-root
     oracle [sub lo hi] (the root over leaves [lo, hi)), letting
     incremental logs memoize interior hashes instead of rehashing. *)
 
