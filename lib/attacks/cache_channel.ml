@@ -55,9 +55,3 @@ let received_bits ?(params = default_params) ~count stream =
     (fun (round, bit) ->
       if round >= p.start_round && round < p.start_round + count then Some bit else None)
     stream
-
-let sender_vm cache ~vid ~owner ?(params = default_params) ~bits () =
-  Hypervisor.Vm.make ~vid ~owner ~image:Hypervisor.Image.ubuntu
-    ~flavor:Hypervisor.Flavor.small
-    ~programs:(fun () -> [ sender_program cache ~owner:vid ~params ~bits () ])
-    ()

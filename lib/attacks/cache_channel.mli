@@ -20,8 +20,6 @@ type params = {
   start_round : int;  (** rounds to wait before transmitting, default 4 *)
 }
 
-val default_params : params
-
 val sender_program :
   Hypervisor.Cache.t ->
   owner:string ->
@@ -41,14 +39,3 @@ val receiver_program :
 
 val received_bits : ?params:params -> count:int -> (int * bool) list -> bool list
 (** Extract the [count] transmitted bits from the receiver's stream. *)
-
-val sender_vm :
-  Hypervisor.Cache.t ->
-  vid:string ->
-  owner:string ->
-  ?params:params ->
-  bits:bool list ->
-  unit ->
-  Hypervisor.Vm.t
-(** A VM whose single vCPU runs the sender (the VM id is the cache owner,
-    so the Monitor Module attributes the misses correctly). *)

@@ -86,12 +86,6 @@ let transmission_time ?(params = default_params) ~bits () =
 
 let random_bits prng n = List.init n (fun _ -> Sim.Prng.bool prng)
 
-let sender_vm ~vid ~owner ?(params = default_params) ~bits () =
-  Hypervisor.Vm.make ~vid ~owner ~image:Hypervisor.Image.ubuntu
-    ~flavor:Hypervisor.Flavor.small
-    ~programs:(fun () -> [ sender_program ~params ~bits () ])
-    ()
-
 let receiver_vm ~vid ~owner ?(params = default_params) () =
   let prog, stamps = receiver_program ~params () in
   let first = ref (Some prog) in

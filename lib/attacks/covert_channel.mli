@@ -41,9 +41,6 @@ val transmission_time : ?params:params -> bits:int -> unit -> Sim.Time.t
 
 val random_bits : Sim.Prng.t -> int -> bool list
 
-val sender_vm :
-  vid:string -> owner:string -> ?params:params -> bits:bool list -> unit -> Hypervisor.Vm.t
-
 val receiver_vm :
   vid:string ->
   owner:string ->

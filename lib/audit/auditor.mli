@@ -56,9 +56,8 @@ val replay : t -> View.t -> upto:int -> check:(index:int -> string -> bool) -> i
     (e.g. verdict-signature verification), records [Bad_entry] evidence
     for each failure and returns the failure count. *)
 
-val broadcast : t -> to_:t -> unit
 val exchange : t -> t -> unit
-(** Gossip every trusted head to a peer (one way / both ways). *)
+(** Gossip every trusted head between two auditors, both ways. *)
 
 val trusted : t -> log_id:string -> Sth.t option
 

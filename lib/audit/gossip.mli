@@ -8,9 +8,6 @@
     delays detection by at most one gossip interval — it never prevents
     it. *)
 
-val address : string -> string
-(** Network address of an auditor's gossip port. *)
-
 val register : Net.Network.t -> Auditor.t -> unit
 (** Install the auditor's gossip handler: decodes incoming heads and feeds
     them to {!Auditor.note}; undecodable payloads are dropped silently. *)

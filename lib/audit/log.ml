@@ -74,10 +74,6 @@ let rec subroot t lo hi =
         h
   end
 
-let sub t lo hi =
-  if lo < 0 || hi > t.size || lo >= hi then invalid_arg "Audit.Log: subtree out of range";
-  subroot t lo hi
-
 let root_at t n =
   if n < 0 || n > t.size then invalid_arg "Audit.Log.root_at: size out of range";
   if n = 0 then Crypto.Merkle.empty_root else subroot t 0 n

@@ -48,9 +48,6 @@ val consistency : t -> old_size:int -> size:int -> string list
 (** Proof that the tree at [old_size] is a prefix of the tree at [size];
     verifies with {!Crypto.Merkle.verify_consistency}. *)
 
-val sub : t -> int -> int -> string
-(** [sub t lo hi] is the memoized subtree root over entries [lo, hi). *)
-
 (** {1 Counters} *)
 
 val appends : t -> int

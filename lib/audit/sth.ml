@@ -51,12 +51,3 @@ let decode d =
 
 let to_string t = Wire.Codec.encode (fun e -> encode e t)
 let of_string raw = Wire.Codec.decode_opt raw decode
-
-let short_hex ?(n = 8) s =
-  let b = Buffer.create (2 * n) in
-  String.iteri (fun i c -> if i < n then Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let pp ppf t =
-  Format.fprintf ppf "STH(%s, size=%d, root=%s, at=%a)" t.log_id t.size (short_hex t.root)
-    Sim.Time.pp t.at

@@ -29,5 +29,3 @@ val decode : Wire.Codec.Dec.t -> t
 val to_string : t -> string
 val of_string : string -> t option
 (** Standalone wire form, for gossip datagrams. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,9 +24,6 @@ type outcome = {
   ledger : Core.Ledger.t;
 }
 
-val reused_nonce : string
-(** The fixed nonce weakened (no-nonce) appraisals reuse every round. *)
-
 val run :
   ?drbg:Crypto.Drbg.t ->
   Core.Cloud.t ->

@@ -143,11 +143,6 @@ let of_string s =
 
 let equal (a : t) (b : t) = a = b
 
-let rec size = function
-  | Appraise _ -> 1
-  | Seq (a, b) | Par (_, a, b) -> 1 + size a + size b
-  | Deleg { body; _ } | Layer { body; _ } -> 1 + size body
-
 let rec appraisals = function
   | Appraise _ -> 1
   | Seq (a, b) | Par (_, a, b) -> appraisals a + appraisals b
@@ -184,5 +179,3 @@ let rec weakened = function
   | Seq (a, b) | Par (_, a, b) -> weakened a || weakened b
   | Deleg { auth; body; _ } -> (not auth) || weakened body
   | Layer { checked; body; _ } -> (not checked) || weakened body
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

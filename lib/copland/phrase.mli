@@ -57,8 +57,6 @@ val of_string : string -> (t, string) result
     that repeat or leave their order. *)
 
 val equal : t -> t -> bool
-val size : t -> int
-(** Number of operator nodes. *)
 
 val appraisals : t -> int
 (** Number of {!Appraise} leaves. *)
@@ -78,5 +76,3 @@ val leaves : t -> leaf list
 
 val weakened : t -> bool
 (** Does any node use a weakened form (a ['-'] or an appraisal mark)? *)
-
-val pp : Format.formatter -> t -> unit

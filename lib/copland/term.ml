@@ -8,7 +8,6 @@ type t =
   | Sign of t * t
   | Hash of t
 
-let equal = Stdlib.( = )
 let compare = Stdlib.compare
 
 let rec pp ppf = function

@@ -16,8 +16,3 @@ let of_label t label = Option.value ~default:0 (Hashtbl.find_opt t.table label)
 let entries t = List.rev_map (fun l -> (l, of_label t l)) t.order
 
 let merge_into dst src = List.iter (fun (l, c) -> add dst l c) (entries src)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (l, c) -> Format.fprintf ppf "%-24s %a@," l Sim.Time.pp c) (entries t);
-  Format.fprintf ppf "%-24s %a@]" "total" Sim.Time.pp (total t)

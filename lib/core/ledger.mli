@@ -13,5 +13,3 @@ val entries : t -> (string * Sim.Time.t) list
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] adds all of [src]'s entries to [dst]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,9 +15,6 @@ let pp_status ppf = function
   | Compromised why -> Format.fprintf ppf "COMPROMISED (%s)" why
   | Unknown why -> Format.fprintf ppf "UNKNOWN (%s)" why
 
-let pp ppf t =
-  Format.fprintf ppf "report{vm=%s, %a: %a}" t.vid Property.pp t.property pp_status t.status
-
 module Codec = Wire.Codec
 
 let encode e t =

@@ -15,7 +15,6 @@ type t = {
 
 val is_healthy : t -> bool
 val pp_status : Format.formatter -> status -> unit
-val pp : Format.formatter -> t -> unit
 
 val encode : Wire.Codec.Enc.t -> t -> unit
 val decode : Wire.Codec.Dec.t -> t

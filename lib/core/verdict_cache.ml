@@ -23,7 +23,6 @@ let create ?(ttl = 0) ~clock () =
     invalidations = 0;
   }
 
-let ttl t = t.ttl
 let set_ttl t ttl = t.ttl <- max 0 ttl
 let enabled t = t.ttl > 0
 
@@ -74,7 +73,6 @@ let invalidate_vm t ~vid =
   t.invalidations <- t.invalidations + n;
   n
 
-let clear t = Hashtbl.reset t.table
 let size t = Hashtbl.length t.table
 
 let stats t =

@@ -31,7 +31,6 @@ val create : ?ttl:Sim.Time.t -> clock:(unit -> Sim.Time.t) -> unit -> t
 (** [ttl] defaults to 0 (disabled). [clock] supplies the simulated time
     used for expiry. *)
 
-val ttl : t -> Sim.Time.t
 val set_ttl : t -> Sim.Time.t -> unit
 (** Lowering the TTL does not eagerly drop entries; they expire on lookup. *)
 
@@ -50,6 +49,5 @@ val invalidate : t -> vid:string -> property:Property.t -> bool
 val invalidate_vm : t -> vid:string -> int
 (** Drop every property entry for [vid]; returns how many were dropped. *)
 
-val clear : t -> unit
 val size : t -> int
 val stats : t -> stats

@@ -533,8 +533,6 @@ let to_bytes_be ?width (a : t) =
 let of_hex h = of_bytes_be (Hexs.decode (if String.length h mod 2 = 1 then "0" ^ h else h))
 let to_hex a = Hexs.encode (to_bytes_be a)
 
-let pp ppf a = Format.pp_print_string ppf (to_hex a)
-
 (* --- Randomness and primality ----------------------------------------- *)
 
 let random_bits drbg bits =

@@ -80,5 +80,3 @@ val is_probable_prime : ?rounds:int -> Drbg.t -> t -> bool
 
 val generate_prime : Drbg.t -> bits:int -> t
 (** A random probable prime with the top two bits set. *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,8 +27,6 @@ let decode s =
   done;
   Bytes.unsafe_to_string b
 
-let pp ppf s = Format.pp_print_string ppf (encode s)
-
 let short s =
   let h = encode s in
   if String.length h <= 8 then h else String.sub h 0 8

@@ -7,8 +7,5 @@ val decode : string -> string
 (** Inverse of {!encode}.
     @raise Invalid_argument on odd length or non-hex characters. *)
 
-val pp : Format.formatter -> string -> unit
-(** Print a byte string as hex. *)
-
 val short : string -> string
 (** First 8 hex digits, for log-friendly digests. *)

@@ -81,7 +81,6 @@ let record_verdict t job status =
       Metrics.record_audit_append t.metrics
 
 let name t = t.name
-let inflight t = Hashtbl.length t.inflight
 let queue_gauge t = t.gauge
 let batches t = Metrics.batches t.metrics
 

@@ -60,9 +60,6 @@ val submit :
 (** [on_done] fires exactly once: immediately (same engine step) for shed
     requests, at measurement completion otherwise. *)
 
-val inflight : t -> int
-(** Pending distinct (VM, property) measurements: queued + in service. *)
-
 val queue_gauge : t -> Sim.Stats.Gauge.t
 (** Time-weighted queue-depth tracking (timestamps in simulated seconds). *)
 

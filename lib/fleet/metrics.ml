@@ -131,10 +131,7 @@ let audit_appends t = t.audit_appends
 let audit_checkpoints t = t.audit_checkpoints
 let audit_proofs t = t.audit_proofs
 let audit_equivocations t = t.audit_equivocations
-let mon_scheduled t p = t.mon_scheduled.(Pqueue.rank p)
-let mon_served t p = t.mon_served.(Pqueue.rank p)
 let mon_missed t p = t.mon_missed.(Pqueue.rank p)
-let mon_shed t p = t.mon_shed.(Pqueue.rank p)
 let mon_scheduled_total t = Array.fold_left ( + ) 0 t.mon_scheduled
 let mon_served_total t = Array.fold_left ( + ) 0 t.mon_served
 let mon_shed_total t = Array.fold_left ( + ) 0 t.mon_shed

@@ -104,10 +104,7 @@ val record_mon_tick : t -> fresh:int -> total:int -> unit
 (** One scheduler tick observing [fresh] of [total] tracked VMs holding a
     verdict younger than the freshness budget. *)
 
-val mon_scheduled : t -> Pqueue.priority -> int
-val mon_served : t -> Pqueue.priority -> int
 val mon_missed : t -> Pqueue.priority -> int
-val mon_shed : t -> Pqueue.priority -> int
 val mon_scheduled_total : t -> int
 val mon_served_total : t -> int
 val mon_shed_total : t -> int

@@ -15,7 +15,6 @@ let create ~depth =
   { depth; classes = Array.init 3 (fun _ -> Stdlib.Queue.create ()); length = 0 }
 
 let length t = t.length
-let depth t = t.depth
 let is_empty t = t.length = 0
 let length_of t p = Stdlib.Queue.length t.classes.(rank p)
 

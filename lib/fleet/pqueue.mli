@@ -32,6 +32,5 @@ val pop : 'a t -> (priority * 'a) option
 (** Highest-priority class first, FIFO within the class. *)
 
 val length : 'a t -> int
-val depth : 'a t -> int
 val is_empty : 'a t -> bool
 val length_of : 'a t -> priority -> int

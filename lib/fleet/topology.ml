@@ -9,7 +9,6 @@ type vm = {
 }
 
 type t = {
-  seed : int;
   as_count : int;
   servers : server array;
   vms : vm array;
@@ -45,11 +44,9 @@ let make ~seed ~servers:n_servers ~vms:n_vms ~as_count =
     let vm = vms.(i) in
     buckets.(vm.home) <- vm :: buckets.(vm.home)
   done;
-  { seed; as_count; servers; vms; routing; homes = Array.map Array.of_list buckets }
+  { as_count; servers; vms; routing; homes = Array.map Array.of_list buckets }
 
-let seed t = t.seed
 let as_count t = t.as_count
-let servers t = t.servers
 let vms t = t.vms
 
 let cluster_of t host = Option.value ~default:0 (Hashtbl.find_opt t.routing host)

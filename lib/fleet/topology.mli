@@ -31,16 +31,12 @@ val make : seed:int -> servers:int -> vms:int -> as_count:int -> t
 (** Servers are named [srv-0001].. and assigned to the [as_count] clusters
     round-robin; VMs are placed uniformly at random (from [seed]). *)
 
-val seed : t -> int
 val as_count : t -> int
-val servers : t -> server array
 val vms : t -> vm array
 
-val cluster_of : t -> string -> int
-(** Routing-table lookup: which AS cluster serves this host.  Unknown hosts
-    route to cluster 0, like {!Core.Controller}'s fallback. *)
-
 val cluster_of_vm : t -> vm -> int
+(** Routing-table lookup: which AS cluster serves this VM's host.  Unknown
+    hosts route to cluster 0, like {!Core.Controller}'s fallback. *)
 
 val home_slice : t -> int -> vm array
 (** [home_slice t c] holds the VMs with [home = c], in [idx] order; the

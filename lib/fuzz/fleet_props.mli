@@ -16,9 +16,5 @@ type violation = { oracle : string; seed : int; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check : seed:int -> violation list
-(** Build one pseudo-random config from [seed] and check every oracle
-    (costs a handful of driver runs). *)
-
 val campaign : seed0:int -> runs:int -> violation list
 (** [check] over seeds [seed0 .. seed0+runs-1]. *)

@@ -192,61 +192,3 @@ let of_string line =
       | _ -> None)
 
 let equal_op (a : op) (b : op) = a = b
-
-let pp_op ppf op =
-  let fault_label = function
-    | Drop_nth n -> Printf.sprintf "drop-every-%d" n
-    | Garble_nth n -> Printf.sprintf "garble-every-%d" n
-    | Lossy (d, g) -> Printf.sprintf "lossy(drop %d%%, garble %d%%)" d g
-    | Blackout -> "blackout"
-  in
-  match op with
-  | Launch { image; monitored; workload } ->
-      Format.fprintf ppf "launch %s%s%s"
-        images.(image mod Array.length images)
-        (if monitored then " monitored" else "")
-        (match workloads.(workload mod Array.length workloads) with
-        | "" -> ""
-        | w -> " workload=" ^ w)
-  | Terminate s -> Format.fprintf ppf "terminate vm#%d" s
-  | Suspend s -> Format.fprintf ppf "suspend vm#%d" s
-  | Resume s -> Format.fprintf ppf "resume vm#%d" s
-  | Migrate s -> Format.fprintf ppf "migrate vm#%d" s
-  | Attest (s, p) ->
-      Format.fprintf ppf "attest vm#%d %a" s Core.Property.pp
-        properties.(p mod Array.length properties)
-  | Attest_many items ->
-      Format.fprintf ppf "attest_many [%s]"
-        (String.concat "; "
-           (List.map
-              (fun (s, p) ->
-                Format.asprintf "vm#%d %a" s Core.Property.pp
-                  properties.(p mod Array.length properties))
-              items))
-  | Set_cache_ttl ms -> Format.fprintf ppf "cache ttl := %d ms" ms
-  | Set_batching b -> Format.fprintf ppf "batching := %b" b
-  | Enable_audit -> Format.fprintf ppf "enable audit"
-  | Set_fault f -> Format.fprintf ppf "fault := %s" (fault_label f)
-  | Clear_fault -> Format.fprintf ppf "fault cleared"
-  | Advance ms -> Format.fprintf ppf "advance %d ms" ms
-  | Infect s -> Format.fprintf ppf "infect vm#%d" s
-  | Corrupt_image i ->
-      Format.fprintf ppf "corrupt image %s" images.(i mod Array.length images)
-  | Vtpm_cycle s -> Format.fprintf ppf "vtpm save+restore host of vm#%d" s
-  | Vtpm_clone (src, dst) ->
-      Format.fprintf ppf "vtpm clone host of vm#%d -> host of vm#%d" src dst
-  | Vtpm_rebind s -> Format.fprintf ppf "vtpm rebind host of vm#%d" s
-  | Protocol_term p ->
-      Format.fprintf ppf "protocol %s%s"
-        (Copland.Phrase.to_string p)
-        (if Copland.Phrase.weakened p then " (weakened)" else "")
-  | Monitor_enable ms ->
-      if ms > 0 then Format.fprintf ppf "monitor enable, period %d ms" ms
-      else Format.fprintf ppf "monitor disarm"
-  | Monitor_period ms -> Format.fprintf ppf "monitor period := %d ms" ms
-  | Monitor_storm s -> Format.fprintf ppf "storm: infect host of vm#%d" s
-
-let pp ppf { seed; ops } =
-  Format.fprintf ppf "@[<v>scenario seed=%d (%d ops)@," seed (List.length ops);
-  List.iteri (fun i op -> Format.fprintf ppf "  %2d: %a@," i pp_op op) ops;
-  Format.fprintf ppf "@]"

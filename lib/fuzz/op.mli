@@ -73,8 +73,6 @@ val workloads : string array
 val properties : Core.Property.t array
 (** The property pool, [Core.Property.all] in order. *)
 
-val pp : Format.formatter -> scenario -> unit
-
 val op_to_string : op -> string
 
 val to_string : scenario -> string

@@ -23,9 +23,7 @@ let create ~engine ?(sets = 64) ?(ways = 8) ?(window = Sim.Time.ms 10) () =
     totals = Hashtbl.create 8;
   }
 
-let sets t = t.nsets
 let ways t = t.nways
-let window t = t.window
 
 let check_set t set =
   if set < 0 || set >= t.nsets then invalid_arg "Cache: set index out of range"

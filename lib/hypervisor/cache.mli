@@ -17,9 +17,7 @@ val create :
   engine:Sim.Engine.t -> ?sets:int -> ?ways:int -> ?window:Sim.Time.t -> unit -> t
 (** Defaults: 64 sets, 8 ways, 10 ms accounting windows. *)
 
-val sets : t -> int
 val ways : t -> int
-val window : t -> Sim.Time.t
 
 val access : t -> owner:string -> set:int -> tag:int -> bool
 (** Access line [tag] in [set]; [true] on a miss (which fills the line,

@@ -78,12 +78,9 @@ type t = {
   mutable next_pin : int;
 }
 
-let engine t = t.engine
-let pcpus t = Array.length t.cpus
 let now t = Sim.Engine.now t.engine
 
 let domains t = List.rev t.doms
-let credits v = v.credits
 let is_paused d = d.paused
 
 (* --- Run queues with lazy deletion ------------------------------------ *)

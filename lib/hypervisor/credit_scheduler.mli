@@ -36,9 +36,6 @@ val default_config : config
 val create : ?config:config -> engine:Sim.Engine.t -> pcpus:int -> unit -> t
 (** Also installs the recurring tick and accounting events. *)
 
-val engine : t -> Sim.Engine.t
-val pcpus : t -> int
-
 (** {2 Domains and vCPUs} *)
 
 val add_domain : t -> name:string -> weight:int -> domain
@@ -80,8 +77,6 @@ val set_burst_trace : domain -> bool -> unit
     pairs, oldest first — the raw series of paper Figure 4. *)
 
 val burst_trace : domain -> (Sim.Time.t * Sim.Time.t) list
-
-val credits : vcpu -> int
 
 (** {2 Invariant checks (used by tests)} *)
 

@@ -52,8 +52,6 @@ let visible_tasks t =
 
 let kernel_tasks t = List.map (fun p -> p.name) (by_pid t.procs)
 
-let processes t = by_pid t.procs
-
 let ima_log t = List.map (fun p -> (p.name, p.binary_hash)) (by_pid t.procs)
 
 let snapshot t = { procs = t.procs; next_pid = t.next_pid }

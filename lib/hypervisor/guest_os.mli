@@ -38,8 +38,6 @@ val visible_tasks : t -> string list
 val kernel_tasks : t -> string list
 (** What introspection of raw kernel memory returns: every process. *)
 
-val processes : t -> process list
-
 val ima_log : t -> (string * string) list
 (** IMA-style measurement log: (name, binary hash) for every process in
     the kernel, pid order — hidden ones included, since the measurement

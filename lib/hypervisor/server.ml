@@ -28,7 +28,6 @@ type t = {
   sched : Credit_scheduler.t;
   cache : Cache.t;
   trust : Tpm.Backend.t option;
-  platform : platform;
   capabilities : string list;
   mem_mb : int;
   mutable mem_used : int;
@@ -56,7 +55,6 @@ let create ~engine ~name ?(pcpus = 4) ?(mem_mb = 32768) ?(platform = pristine_pl
     sched;
     cache = Cache.create ~engine ();
     trust;
-    platform;
     capabilities = (if secure then capabilities else []);
     mem_mb;
     mem_used = 0;
@@ -71,8 +69,6 @@ let trust_backend t = t.trust
 let backend_kind t = Option.map Tpm.Backend.kind t.trust
 let is_secure t = t.trust <> None
 let capabilities t = t.capabilities
-let platform t = t.platform
-let pcpus t = Credit_scheduler.pcpus t.sched
 let mem_free_mb t = t.mem_mb - t.mem_used
 
 let launch t ?pin ?(pins = []) vm =

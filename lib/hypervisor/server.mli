@@ -60,8 +60,6 @@ val backend_kind : t -> Tpm.Backend.kind option
 
 val is_secure : t -> bool
 val capabilities : t -> string list
-val platform : t -> platform
-val pcpus : t -> int
 val mem_free_mb : t -> int
 
 (** {2 VM management} *)

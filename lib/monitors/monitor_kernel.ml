@@ -18,9 +18,6 @@ let create server =
     last_cache = Hashtbl.create 8;
   }
 
-let server t = t.server
-let profiler t = t.profiler
-
 let default_cpu_window = Sim.Time.sec 1
 
 let load_registers t values =

@@ -14,9 +14,6 @@ val create : Hypervisor.Server.t -> t
 (** Builds the monitor suite (VMM profiler with its sampling cadence, VMI
     hooks, integrity unit) for this server. *)
 
-val server : t -> Hypervisor.Server.t
-val profiler : t -> Vmm_profile.t
-
 val collect :
   t -> vid:string -> Measurement.request list -> (Measurement.value list, error) result
 (** Collect measurements for one VM, in request order.  Burst histograms

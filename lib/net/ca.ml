@@ -1,12 +1,11 @@
 type cert = { subject : string; pubkey : Crypto.Rsa.public; signature : string }
 
-type t = { name : string; keypair : Crypto.Rsa.keypair }
+type t = { keypair : Crypto.Rsa.keypair }
 
 let create ~seed ?(bits = 1024) ~name () =
   let drbg = Crypto.Drbg.create ~seed:("ca|" ^ name ^ "|" ^ seed) in
-  { name; keypair = Crypto.Rsa.generate drbg ~bits }
+  { keypair = Crypto.Rsa.generate drbg ~bits }
 
-let name t = t.name
 let public t = t.keypair.public
 
 let payload ~subject pubkey =

@@ -14,7 +14,6 @@ type cert = {
 type t
 
 val create : seed:string -> ?bits:int -> name:string -> unit -> t
-val name : t -> string
 val public : t -> Crypto.Rsa.public
 
 val issue : t -> subject:string -> Crypto.Rsa.public -> cert
@@ -22,9 +21,6 @@ val issue : t -> subject:string -> Crypto.Rsa.public -> cert
 val verify : ca:Crypto.Rsa.public -> cert -> bool
 (** Check the CA signature; callers must still check [subject] is who they
     expect to be talking to. *)
-
-val payload : subject:string -> Crypto.Rsa.public -> string
-(** The exact bytes the CA signs. *)
 
 val encode : Wire.Codec.Enc.t -> cert -> unit
 val decode : Wire.Codec.Dec.t -> cert

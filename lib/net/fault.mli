@@ -30,6 +30,3 @@ val lossy : ?garble_p:float -> drop_p:float -> seed:int -> unit -> Network.adver
 
 val blackout : unit -> Network.adversary
 (** Drop everything: a total partition of the monitoring plane. *)
-
-val garble : ?offset:int -> string -> string
-(** Flip one byte of a payload (identity on the empty string). *)

@@ -18,10 +18,7 @@ module Histogram = struct
     t.total <- t.total + 1
 
   let count t i = t.counts.(i)
-  let counts t = Array.copy t.counts
   let total t = t.total
-  let bins t = Array.length t.counts
-  let width t = t.width
 
   let distribution t =
     let n = Array.length t.counts in
@@ -38,37 +35,22 @@ module Histogram = struct
     if a.width <> b.width || Array.length a.counts <> Array.length b.counts then
       invalid_arg "Histogram.merge: incompatible shapes";
     of_counts ~width:a.width (Array.mapi (fun i c -> c + b.counts.(i)) a.counts)
-
-  let clear t =
-    Array.fill t.counts 0 (Array.length t.counts) 0;
-    t.total <- 0
 end
 
 module Summary = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
+  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
 
   (* Welford's online algorithm. *)
   let add t x =
     t.n <- t.n + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let n t = t.n
   let mean t = t.mean
   let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-  let min t = t.min
-  let max t = t.max
 end
 
 module Reservoir = struct
@@ -131,7 +113,6 @@ module Reservoir = struct
 
   let n t = t.count
   let retained t = t.len
-  let cap t = t.cap
   let exact t = t.count = t.len
   let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
   let min t = if t.count = 0 then nan else t.lo
@@ -223,17 +204,12 @@ module Gauge = struct
     t.level <- v;
     if v > t.peak then t.peak <- v
 
-  let level t = t.level
   let peak t = t.peak
 
   let time_weighted_mean t ~now =
     if not t.started || now <= 0.0 then 0.0
     else (t.area +. (float_of_int t.level *. (now -. t.last))) /. now
 end
-
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let percentile xs p =
   match xs with
@@ -273,8 +249,6 @@ module Fraction_series = struct
     t.num.(t.len) <- num;
     t.den.(t.len) <- den;
     t.len <- t.len + 1
-
-  let length t = t.len
 
   let fraction t i =
     if t.den.(i) = 0 then nan

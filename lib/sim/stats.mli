@@ -12,17 +12,13 @@ module Histogram : sig
 
   val add : t -> float -> unit
   val count : t -> int -> int
-  val counts : t -> int array
   val total : t -> int
-  val bins : t -> int
-  val width : t -> float
 
   val distribution : t -> float array
   (** Normalised to sum to 1 (all zeros when empty). *)
 
   val of_counts : width:float -> int array -> t
   val merge : t -> t -> t
-  val clear : t -> unit
 end
 
 (** Running summary statistics. *)
@@ -31,11 +27,8 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val n : t -> int
   val mean : t -> float
   val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
 end
 
 (** Bounded-memory sample reservoir with deterministic merging.  Holds at
@@ -60,8 +53,6 @@ module Reservoir : sig
 
   val retained : t -> int
   (** Samples currently held, [<= cap]. *)
-
-  val cap : t -> int
 
   val exact : t -> bool
   (** True while every observation is retained (percentiles exact). *)
@@ -95,7 +86,6 @@ module Gauge : sig
   (** [set t ~now v] records that the level became [v] at time [now].
       Timestamps must be non-decreasing. *)
 
-  val level : t -> int
   val peak : t -> int
 
   val time_weighted_mean : t -> now:float -> float
@@ -117,11 +107,6 @@ module Fraction_series : sig
   val record : t -> num:int -> den:int -> unit
   (** Append one tick.  Requires [0 <= num <= den]. *)
 
-  val length : t -> int
-
-  val fraction : t -> int -> float
-  (** [num/den] at tick [i]; [nan] when the denominator is 0. *)
-
   val merge_into : t -> t -> unit
   (** [merge_into a b] adds [b]'s tick [k] into [a]'s tick [k] ([b]
       unchanged); [a] grows when [b] is longer. *)
@@ -132,7 +117,6 @@ module Fraction_series : sig
   (** Over ticks with a nonzero denominator; [nan] when there are none. *)
 end
 
-val mean : float list -> float
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0,100], nearest-rank on a sorted copy. *)
 

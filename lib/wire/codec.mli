@@ -11,8 +11,6 @@ exception Error of string
 module Enc : sig
   type t
 
-  val create : unit -> t
-  val to_string : t -> string
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit

@@ -6,11 +6,7 @@
 type t = { name : string; run : Sim.Time.t; idle : Sim.Time.t; cpu_bound : bool }
 
 val database : t
-val file : t
 val web : t
-val app : t
-val stream : t
-val mail : t
 
 val all : t list
 val of_name : string -> t option

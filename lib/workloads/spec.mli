@@ -5,8 +5,6 @@
 type t = { name : string; work : Sim.Time.t }
 
 val bzip2 : t
-val hmmer : t
-val astar : t
 val all : t list
 
 val program : t -> on_done:(Sim.Time.t -> unit) -> unit -> Hypervisor.Program.t
