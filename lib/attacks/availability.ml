@@ -1,8 +1,13 @@
 let default_tick = Sim.Time.ms 10
 
+(* The main vCPU goes to sleep this long before each tick, and the helper
+   sends its wakeup IPI this long after it. *)
+let guard = Sim.Time.us 600
+let lead = Sim.Time.us 200
+
 let next_tick ~tick now = ((now / tick) + 1) * tick
 
-let main_program ?(tick = default_tick) ?(guard = Sim.Time.us 600) () =
+let main_program ?(tick = default_tick) () =
   let phase = ref `Compute in
   Hypervisor.Program.make (fun ~now ->
       match !phase with
@@ -16,7 +21,7 @@ let main_program ?(tick = default_tick) ?(guard = Sim.Time.us 600) () =
           (* Sleep "forever": the helper's IPI provides the real wakeup. *)
           Hypervisor.Program.Sleep (Sim.Time.sec 3600))
 
-let helper_program ?(tick = default_tick) ?(lead = Sim.Time.us 200) () =
+let helper_program ?(tick = default_tick) () =
   let phase = ref `Sleep in
   Hypervisor.Program.make (fun ~now ->
       match !phase with

@@ -8,15 +8,12 @@
     CPU-bound, absorbs every tick debit, goes credit-negative, and starves
     (>10x slowdown in paper Figure 6). *)
 
-val main_program :
-  ?tick:Sim.Time.t -> ?guard:Sim.Time.t -> unit -> Hypervisor.Program.t
-(** The vCPU that occupies the victim's pCPU.  [guard] (default 600 us) is
-    how long before each tick it goes to sleep. *)
+val main_program : ?tick:Sim.Time.t -> unit -> Hypervisor.Program.t
+(** The vCPU that occupies the victim's pCPU; it goes to sleep 600 us
+    before each tick. *)
 
-val helper_program :
-  ?tick:Sim.Time.t -> ?lead:Sim.Time.t -> unit -> Hypervisor.Program.t
-(** The vCPU that sends the wakeup IPIs, [lead] (default 200 us) after each
-    tick. *)
+val helper_program : ?tick:Sim.Time.t -> unit -> Hypervisor.Program.t
+(** The vCPU that sends the wakeup IPIs, 200 us after each tick. *)
 
 val attacker_vm : vid:string -> owner:string -> unit -> Hypervisor.Vm.t
 (** A two-vCPU VM running main + helper.  Launch it with

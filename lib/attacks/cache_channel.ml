@@ -1,57 +1,56 @@
-type params = { round : Sim.Time.t; first_set : int; group : int; start_round : int }
+(* One bit per 10 ms round, signalled over the 16 sets from set 0 on,
+   starting at round 4. *)
+let round = Sim.Time.ms 10
+let first_set = 0
+let group = 16
+let start_round = 4
+let target_sets = List.init group (fun i -> first_set + i)
 
-let default_params = { round = Sim.Time.ms 10; first_set = 0; group = 16; start_round = 4 }
-
-let target_sets p = List.init p.group (fun i -> p.first_set + i)
-
-let thrash cache ~owner p =
-  List.iter (fun set -> Hypervisor.Cache.fill_set cache ~owner ~set) (target_sets p)
+let thrash cache ~owner =
+  List.iter (fun set -> Hypervisor.Cache.fill_set cache ~owner ~set) target_sets
 
 (* The sender wakes just after each round boundary, emits (or not), and
    sleeps to the next boundary. *)
-let sender_program cache ~owner ?(params = default_params) ~bits () =
+let sender_program cache ~owner ~bits () =
   let queue = ref bits in
-  let p = params in
   Hypervisor.Program.make (fun ~now ->
-      let k = now / p.round in
-      if k < p.start_round then
-        Hypervisor.Program.Sleep ((p.start_round * p.round) + Sim.Time.us 100 - now)
+      let k = now / round in
+      if k < start_round then
+        Hypervisor.Program.Sleep ((start_round * round) + Sim.Time.us 100 - now)
       else begin
         match !queue with
         | [] -> Hypervisor.Program.Halt
         | bit :: rest ->
             queue := rest;
-            if bit then thrash cache ~owner p;
-            Hypervisor.Program.Sleep (((k + 1) * p.round) + Sim.Time.us 100 - now)
+            if bit then thrash cache ~owner;
+            Hypervisor.Program.Sleep (((k + 1) * round) + Sim.Time.us 100 - now)
       end)
 
 (* The receiver probes (and thereby re-primes) shortly before each round
    boundary. *)
-let receiver_program cache ~owner ?(params = default_params) () =
-  let p = params in
-  let capacity = p.group * Hypervisor.Cache.ways cache in
+let receiver_program cache ~owner () =
+  let capacity = group * Hypervisor.Cache.ways cache in
   let results = ref [] in
   let primed = ref false in
   let prog =
     Hypervisor.Program.make (fun ~now ->
         if not !primed then begin
-          List.iter (fun set -> Hypervisor.Cache.fill_set cache ~owner ~set) (target_sets p);
+          thrash cache ~owner;
           primed := true;
-          let k = now / p.round in
-          Hypervisor.Program.Sleep (((k + 1) * p.round) - Sim.Time.us 200 - now)
+          let k = now / round in
+          Hypervisor.Program.Sleep (((k + 1) * round) - Sim.Time.us 200 - now)
         end
         else begin
-          let k = now / p.round in
-          let misses = Hypervisor.Cache.probe cache ~owner ~sets:(target_sets p) in
+          let k = now / round in
+          let misses = Hypervisor.Cache.probe cache ~owner ~sets:target_sets in
           results := (k, misses > capacity / 2) :: !results;
-          Hypervisor.Program.Sleep (p.round)
+          Hypervisor.Program.Sleep round
         end)
   in
   (prog, fun () -> List.rev !results)
 
-let received_bits ?(params = default_params) ~count stream =
-  let p = params in
+let received_bits ~count stream =
   List.filter_map
     (fun (round, bit) ->
-      if round >= p.start_round && round < p.start_round + count then Some bit else None)
+      if round >= start_round && round < start_round + count then Some bit else None)
     stream

@@ -12,38 +12,27 @@
     sender shows two peaks — at the short and long burst lengths — where a
     benign CPU-bound VM shows a single peak at the 30 ms timeslice. *)
 
-type params = {
-  short_burst : Sim.Time.t;  (** CPU occupation encoding a 0 (default 5 ms) *)
-  long_burst : Sim.Time.t;  (** CPU occupation encoding a 1 (default 20 ms) *)
-  short_gap : Sim.Time.t;  (** idle time after a 0 (default 10 ms) *)
-  long_gap : Sim.Time.t;  (** idle time after a 1 (default 30 ms) *)
-  settle : Sim.Time.t;  (** initial idle period to accumulate credits *)
-  chunk : Sim.Time.t;  (** receiver measurement granularity (default 0.5 ms) *)
-}
+val sender_program :
+  ?long_burst:Sim.Time.t -> bits:bool list -> unit -> Hypervisor.Program.t
+(** Transmit [bits] once, then idle forever.  After a 100 ms settle period,
+    a 0 is a 5 ms burst followed by 10 ms idle, a 1 a [long_burst]
+    (default 20 ms) burst followed by 30 ms idle. *)
 
-val default_params : params
+val receiver_program : unit -> Hypervisor.Program.t * (unit -> Sim.Time.t list)
+(** The receiver, computing in 0.5 ms chunks, and an accessor for its
+    chunk-completion timestamps. *)
 
-val sender_program : ?params:params -> bits:bool list -> unit -> Hypervisor.Program.t
-(** Transmit [bits] once, then idle forever. *)
-
-val receiver_program :
-  ?params:params -> unit -> Hypervisor.Program.t * (unit -> Sim.Time.t list)
-(** The receiver and an accessor for its chunk-completion timestamps. *)
-
-val decode : ?params:params -> Sim.Time.t list -> bool list
-(** Recover the transmitted bits from receiver timestamps. *)
+val decode : ?long_burst:Sim.Time.t -> Sim.Time.t list -> bool list
+(** Recover the transmitted bits from receiver timestamps; [long_burst]
+    must match the sender's. *)
 
 val bit_error_rate : sent:bool list -> received:bool list -> float
 (** Fraction of wrong or missing bits. *)
 
-val transmission_time : ?params:params -> bits:int -> unit -> Sim.Time.t
-(** Expected air time for [bits] random bits (for bandwidth estimates). *)
+val transmission_time : bits:int -> Sim.Time.t
+(** Expected air time for [bits] random bits at the default burst lengths
+    (for bandwidth estimates). *)
 
 val random_bits : Sim.Prng.t -> int -> bool list
 
-val receiver_vm :
-  vid:string ->
-  owner:string ->
-  ?params:params ->
-  unit ->
-  Hypervisor.Vm.t * (unit -> Sim.Time.t list)
+val receiver_vm : vid:string -> owner:string -> unit -> Hypervisor.Vm.t * (unit -> Sim.Time.t list)

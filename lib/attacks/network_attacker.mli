@@ -5,11 +5,12 @@
 val passive : on_message:(Net.Network.message -> unit) -> Net.Network.adversary
 (** Eavesdrop everything, modify nothing. *)
 
-val flip_byte : ?offset:int -> ?min_len:int -> unit -> Net.Network.adversary
-(** Corrupt one byte of every sufficiently long message (both directions).
-    Detected by record MACs / signatures. *)
+val flip_byte : ?min_len:int -> unit -> Net.Network.adversary
+(** Corrupt byte 48 (the last byte of a shorter payload) of every message
+    of at least [min_len] bytes (default 64), in both directions.  Detected
+    by record MACs / signatures. *)
 
-val tamper_replies : ?offset:int -> ?min_len:int -> unit -> Net.Network.adversary
+val tamper_replies : ?min_len:int -> unit -> Net.Network.adversary
 (** Corrupt only replies — e.g. trying to flip an attestation report from
     Compromised to Healthy on its way back. *)
 

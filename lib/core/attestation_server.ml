@@ -140,7 +140,7 @@ let interpret t ledger vid property values_raw =
   Ledger.add ledger "interpret" Costs.interpret;
   let values = Option.value ~default:[] (Monitors.Measurement.decode_values values_raw) in
   let status, evidence =
-    Interpret.interpret t.refs ~image_name:(t.vm_image vid) property values
+    Interpret.interpret ~image_name:(t.vm_image vid) property values
   in
   { Report.vid; property; status; evidence; produced_at = t.clock () }
 

@@ -28,8 +28,9 @@ type launch_request = {
   pins : int option list;
 }
 
+let controller_name = "cloud-controller"
+
 type t = {
-  name : string;
   net : Net.Network.t;
   engine : Sim.Engine.t;
   identity : Net.Secure_channel.Identity.t;
@@ -52,7 +53,6 @@ type t = {
   mutable response_policy : Report.t -> response_strategy option;
   mutable batching : bool;  (* Merkle-batched AS rounds in [attest_many]; off by default *)
   mutable auditing : bool;  (* require + verify AS inclusion receipts; off by default *)
-  mutable auto_resume : bool;  (* re-check suspended VMs and resume on healthy *)
   mutable recheck_period : Sim.Time.t;
   mutable max_rechecks : int;
   mutable responses : response_record list; (* newest first *)
@@ -76,7 +76,7 @@ let log t fmt =
       t.events <- Format.asprintf "[%a] %s" Sim.Time.pp (Sim.Engine.now t.engine) s :: t.events)
     fmt
 
-let name t = t.name
+let name _ = controller_name
 let identity t = t.identity
 let public_key t = t.identity.Net.Secure_channel.Identity.keypair.public
 let db t = t.db
@@ -517,7 +517,7 @@ let do_migrate t ~vid =
           let monitored = record.Database.properties <> [] in
           let hop_cost =
             Lifecycle.suspension_time record.Database.flavor
-            + Lifecycle.migration_transfer_time ~net:t.net record.Database.flavor
+            + Lifecycle.migration_transfer_time record.Database.flavor
             + Lifecycle.resume_time record.Database.flavor
           in
           let rec hop ~from_name excluded cost attempts =
@@ -642,7 +642,7 @@ let execute_response t strategy ~vid ~property =
   ignore (periodic_stop t ~vid ~property : bool);
   (match respond t strategy ~vid with
   | Ok _ ->
-      if strategy = Suspend_vm && t.auto_resume then start_suspension_recheck t ~vid ~property
+      if strategy = Suspend_vm then start_suspension_recheck t ~vid ~property
   | Error _ -> ())
 
 let periodic_start t ~vid ~property ~schedule ~nonce =
@@ -852,15 +852,14 @@ let request_handler t ~peer plaintext =
   | None -> Commands.encode_reply (Commands.Err "malformed command")
   | Some command -> Commands.encode_reply (handle_command t ~peer command)
 
-let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller") ~db
-    ~attestation_servers ?(cluster_of = fun _ -> 0) () =
+let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ~db ~attestation_servers
+    ?(cluster_of = fun _ -> 0) () =
   if attestation_servers = [] then
     invalid_arg "Controller.create: need at least one attestation server";
   let identity =
-    Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|cc") ~bits:key_bits ~name ()
+    Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|cc") ~bits:key_bits ~name:controller_name ()
   in
   {
-    name;
     net;
     engine;
     identity;
@@ -870,7 +869,7 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
     attestation_servers = Array.of_list attestation_servers;
     hop =
       Hop.create ~net ~identity ~ca:(Net.Ca.public ca)
-        ~seed:(fun peer -> name ^ "->" ^ peer)
+        ~seed:(fun peer -> controller_name ^ "->" ^ peer)
         ~address:Fun.id;
     cluster_of;
     cache = Verdict_cache.create ~clock:(fun () -> Sim.Engine.now engine) ();
@@ -882,7 +881,6 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
     response_policy = default_policy;
     batching = false;
     auditing = false;
-    auto_resume = true;
     recheck_period = Sim.Time.sec 5;
     max_rechecks = 10;
     responses = [];
@@ -893,7 +891,6 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ?(name = "cloud-controller"
 let verdict_cache t = t.cache
 let set_verdict_cache_ttl t ttl = Verdict_cache.set_ttl t.cache ttl
 
-let set_auto_resume t ?recheck_period ?max_rechecks enabled =
-  t.auto_resume <- enabled;
+let set_auto_resume t ?recheck_period ?max_rechecks () =
   (match recheck_period with Some p -> t.recheck_period <- p | None -> ());
   match max_rechecks with Some m -> t.max_rechecks <- m | None -> ()

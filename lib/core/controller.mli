@@ -34,14 +34,13 @@ val create :
   ca:Net.Ca.t ->
   seed:string ->
   ?key_bits:int ->
-  ?name:string ->
   db:Database.t ->
   attestation_servers:(string * Crypto.Rsa.public) list ->
   ?cluster_of:(string -> int) ->
   unit ->
   t
-(** [name] defaults to ["cloud-controller"].  Registers nothing on the
-    network: {!Cloud} serves {!request_handler} under [name].  [db] is the
+(** The controller is named ["cloud-controller"].  Registers nothing on
+    the network: {!Cloud} serves {!request_handler} under that name.  [db] is the
     nova database this controller owns (the Attestation Servers read VM
     images and server backends from it).  [attestation_servers] lists the
     (network name, VKa) of each cluster's Attestation Server (paper 3.2.3:
@@ -188,11 +187,12 @@ val respond : t -> response_strategy -> vid:string -> (Sim.Time.t, string) resul
 val resume : t -> vid:string -> (Sim.Time.t, string) result
 (** Resume a suspended VM after the platform re-attests healthy. *)
 
-val set_auto_resume : t -> ?recheck_period:Sim.Time.t -> ?max_rechecks:int -> bool -> unit
-(** Section 5.2 response #2 behaviour: when a periodic attestation triggers
-    suspension, keep re-attesting the VM every [recheck_period]; resume it
-    if health returns, terminate it after [max_rechecks] failures.  On by
-    default (5 s, 10 checks). *)
+val set_auto_resume : t -> ?recheck_period:Sim.Time.t -> ?max_rechecks:int -> unit -> unit
+(** Section 5.2 response #2 behaviour, always on: when a periodic
+    attestation triggers suspension, keep re-attesting the VM every
+    [recheck_period]; resume it if health returns, terminate it after
+    [max_rechecks] failures.  Sets either value (initially 5 s and 10
+    checks). *)
 
 val responses : t -> response_record list
 (** Responses executed so far, oldest first. *)

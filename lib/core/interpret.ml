@@ -2,35 +2,26 @@ type covert_source = Cpu_bursts | Cache_misses
 
 type integrity_source = Task_diff | Ima_whitelist
 
-type refs = {
-  golden_platform : string;
-  golden_image : string -> string option;
-  availability_min_pct : float;
-  steal_min_fraction : float;
-  min_histogram_samples : int;
-  bimodal_min_separation : float;
-  bimodal_min_weight : float;
-  covert_sources : covert_source list;
-  min_cache_windows : int;
-  integrity_sources : integrity_source list;
-  known_binary : string -> string -> bool;
-}
+type refs = { covert_sources : covert_source list; integrity_sources : integrity_source list }
 
-let default_refs =
-  {
-    golden_platform = Hypervisor.Server.golden_platform_measurement;
-    golden_image = (fun name -> Some (Hypervisor.Image.golden_hash ~name));
-    availability_min_pct = 25.0;
-    steal_min_fraction = 0.70;
-    min_histogram_samples = 20;
-    bimodal_min_separation = 0.25;
-    bimodal_min_weight = 0.10;
-    covert_sources = [ Cpu_bursts ];
-    min_cache_windows = 20;
-    integrity_sources = [ Task_diff ];
-    known_binary =
-      (fun name hash -> String.equal hash (Hypervisor.Guest_os.pristine_hash name));
-  }
+let default_refs = { covert_sources = [ Cpu_bursts ]; integrity_sources = [ Task_diff ] }
+
+(* Golden values from the pristine platform and image definitions; the
+   IMA whitelist accepts exactly the pristine binary for each name. *)
+let golden_platform = Hypervisor.Server.golden_platform_measurement
+let golden_image name = Hypervisor.Image.golden_hash ~name
+let known_binary name hash = String.equal hash (Hypervisor.Guest_os.pristine_hash name)
+
+(* A VM is availability-compromised only if its relative CPU usage
+   (vtime/window) is below 25 % {e and} more than 70 % of the CPU time it
+   wanted (run + steal) was stolen: low usage alone is just an idle VM. *)
+let availability_min_pct = 25.0
+let steal_min_fraction = 0.70
+
+(* Bursts, and cache windows, needed before a covert-channel verdict is
+   meaningful. *)
+let min_histogram_samples = 20
+let min_cache_windows = 20
 
 let requests_for refs = function
   | Property.Startup_integrity ->
@@ -49,9 +40,9 @@ let requests_for refs = function
         refs.covert_sources
   | Property.Cpu_availability -> [ Monitors.Measurement.Cpu_time (Sim.Time.sec 1) ]
 
-let histogram_verdict refs counts =
+let histogram_verdict counts =
   let total = Array.fold_left ( + ) 0 counts in
-  if total < refs.min_histogram_samples then
+  if total < min_histogram_samples then
     ( Report.Unknown (Printf.sprintf "only %d bursts in detection period" total),
       Printf.sprintf "bursts=%d" total )
   else begin
@@ -67,10 +58,7 @@ let histogram_verdict refs counts =
           Printf.sprintf "peaks at %.1fms (%.0f%%) and %.1fms (%.0f%%), separation %.2f" c1
             (100. *. w1) c2 (100. *. w2) r.separation
         in
-        if
-          Sim.Stats.Two_means.bimodal ~min_separation:refs.bimodal_min_separation
-            ~min_weight:refs.bimodal_min_weight r
-        then
+        if Sim.Stats.Two_means.bimodal r then
           ( Report.Compromised
               "bimodal CPU-usage interval distribution: covert-channel signalling pattern",
             evidence )
@@ -79,9 +67,9 @@ let histogram_verdict refs counts =
 
 (* Prime-probe signalling shows up as windows that are either quiet or
    loud, with little in between: cluster the per-window miss counts. *)
-let cache_verdict refs windows =
+let cache_verdict windows =
   let n = Array.length windows in
-  if n < refs.min_cache_windows then
+  if n < min_cache_windows then
     ( Report.Unknown (Printf.sprintf "only %d cache windows in detection period" n),
       Printf.sprintf "windows=%d" n )
   else begin
@@ -110,11 +98,7 @@ let cache_verdict refs windows =
               "window miss counts cluster at %.0f (%.0f%%) and %.0f (%.0f%%), separation %.2f"
               c1 (100. *. w1) c2 (100. *. w2) r.separation
           in
-          if
-            Sim.Stats.Two_means.bimodal ~min_separation:refs.bimodal_min_separation
-              ~min_weight:refs.bimodal_min_weight r
-            && c2 > 4.0 *. Float.max c1 1.0
-          then
+          if Sim.Stats.Two_means.bimodal r && c2 > 4.0 *. Float.max c1 1.0 then
             ( Report.Compromised
                 "quiet/loud cache-miss window pattern: prime-probe covert-channel signalling",
               evidence )
@@ -122,10 +106,10 @@ let cache_verdict refs windows =
     end
   end
 
-let ima_verdict refs entries =
+let ima_verdict entries =
   let bad =
     List.filter_map
-      (fun (name, hash) -> if refs.known_binary name hash then None else Some name)
+      (fun (name, hash) -> if known_binary name hash then None else Some name)
       entries
   in
   let evidence = Printf.sprintf "%d measured binaries" (List.length entries) in
@@ -165,14 +149,14 @@ let combine verdicts =
         ((match verdicts with (s, _) :: _ -> s | [] -> Report.Unknown "no measurements"), evidence)
       else (Report.Healthy, evidence)
 
-let interpret refs ~image_name property values =
+let interpret ~image_name property values =
   match (property, values) with
   | ( Property.Startup_integrity,
       [ Monitors.Measurement.Measured_platform platform; Monitors.Measurement.Measured_image image ] ) ->
-      let platform_ok = String.equal platform refs.golden_platform in
+      let platform_ok = String.equal platform golden_platform in
       let image_ok =
-        match Option.bind image_name refs.golden_image with
-        | Some golden -> String.equal image golden
+        match image_name with
+        | Some name -> String.equal image (golden_image name)
         | None -> false
       in
       let evidence =
@@ -197,7 +181,7 @@ let interpret refs ~image_name property values =
            (function
              | Monitors.Measurement.Measured_tasks { kernel; visible } ->
                  task_diff_verdict kernel visible
-             | Monitors.Measurement.Measured_ima entries -> ima_verdict refs entries
+             | Monitors.Measurement.Measured_ima entries -> ima_verdict entries
              | _ -> (Report.Unknown "unexpected measurement", "shape"))
            values)
   | Property.Covert_channel_free, values
@@ -212,8 +196,8 @@ let interpret refs ~image_name property values =
       combine
         (List.map
            (function
-             | Monitors.Measurement.Measured_histogram counts -> histogram_verdict refs counts
-             | Monitors.Measurement.Measured_miss_windows w -> cache_verdict refs w
+             | Monitors.Measurement.Measured_histogram counts -> histogram_verdict counts
+             | Monitors.Measurement.Measured_miss_windows w -> cache_verdict w
              | _ -> (Report.Unknown "unexpected measurement", "shape"))
            values)
   | ( Property.Cpu_availability,
@@ -229,11 +213,11 @@ let interpret refs ~image_name property values =
           Printf.sprintf "relative CPU usage %.1f%%, steal %.0f%% of demand (%d vcpus)" pct
             (100.0 *. steal_frac) vcpus
         in
-        if pct < refs.availability_min_pct && steal_frac > refs.steal_min_fraction then
+        if pct < availability_min_pct && steal_frac > steal_min_fraction then
           ( Report.Compromised
               (Printf.sprintf
                  "CPU availability %.1f%% below the %.0f%% SLA floor while %.0f%% of demand is stolen"
-                 pct refs.availability_min_pct (100.0 *. steal_frac)),
+                 pct availability_min_pct (100.0 *. steal_frac)),
             evidence )
         else (Report.Healthy, evidence)
       end

@@ -15,56 +15,45 @@ type covert_source = Cpu_bursts | Cache_misses
     (the appraiser model of the paper's citation [33]). *)
 type integrity_source = Task_diff | Ima_whitelist
 
-(** Appraiser references and decision thresholds. *)
+(** Which detectors the appraiser runs.  The reference values and decision
+    thresholds are constants of this module: golden values from the
+    pristine platform and image definitions, an IMA whitelist of the
+    pristine binaries, and the thresholds documented on each verdict. *)
 type refs = {
-  golden_platform : string;  (** expected boot-chain PCR composite *)
-  golden_image : string -> string option;  (** image name -> expected hash *)
-  availability_min_pct : float;
-      (** relative CPU usage (vtime/window, percent) below which the VM
-          {e may} be availability-compromised; default 25% *)
-  steal_min_fraction : float;
-      (** fraction of wanted CPU time (run + steal) that was stolen, above
-          which low usage counts as starvation rather than idleness;
-          default 0.70.  Both conditions must hold for a Compromised
-          verdict, so idle VMs are not flagged. *)
-  min_histogram_samples : int;
-      (** bursts needed before the covert-channel verdict is meaningful *)
-  bimodal_min_separation : float;  (** cluster separation threshold *)
-  bimodal_min_weight : float;  (** minimum mass in each cluster *)
   covert_sources : covert_source list;
       (** which media the covert-channel property checks; default
           [[Cpu_bursts]], the paper's concrete case study *)
-  min_cache_windows : int;  (** windows needed for a cache verdict *)
   integrity_sources : integrity_source list;
       (** runtime-integrity detectors; default [[Task_diff]] *)
-  known_binary : string -> string -> bool;
-      (** [known_binary name hash]: appraiser whitelist; the default accepts
-          exactly the pristine binary for each name *)
 }
 
 val default_refs : refs
-(** Golden values from the pristine platform and image definitions. *)
 
 val requests_for : refs -> Property.t -> Monitors.Measurement.request list
 (** The P -> rM mapping (for [Covert_channel_free], one request per
     configured source). *)
 
 val interpret :
-  refs -> image_name:string option -> Property.t -> Monitors.Measurement.value list ->
+  image_name:string option -> Property.t -> Monitors.Measurement.value list ->
   Report.status * string
-(** [interpret refs ~image_name p values] returns the verdict and a short
+(** [interpret ~image_name p values] returns the verdict and a short
     evidence string.  Measurements that do not match the property's
-    expected shape yield [Unknown]. *)
+    expected shape yield [Unknown].  CPU availability is Compromised only
+    when relative CPU usage (vtime/window) is below 25 % and more than
+    70 % of the CPU time the VM wanted (run + steal) was stolen, so idle
+    VMs are not flagged. *)
 
-val histogram_verdict : refs -> int array -> Report.status * string
-(** The covert-channel decision on a burst-interval histogram, exposed for
-    tests and the detection-threshold ablation bench. *)
+val histogram_verdict : int array -> Report.status * string
+(** The covert-channel decision on a burst-interval histogram (Unknown
+    below 20 bursts, Compromised when {!Sim.Stats.Two_means.bimodal}),
+    exposed for tests and the detection-threshold ablation bench. *)
 
-val cache_verdict : refs -> int array -> Report.status * string
-(** The covert-channel decision on a per-window cache-miss series: a
-    bimodal split of window miss counts (quiet vs loud windows with wide
-    separation) is the prime-probe signalling signature. *)
+val cache_verdict : int array -> Report.status * string
+(** The covert-channel decision on a per-window cache-miss series (Unknown
+    below 20 windows): a bimodal split of window miss counts (quiet vs loud
+    windows with wide separation) is the prime-probe signalling
+    signature. *)
 
-val ima_verdict : refs -> (string * string) list -> Report.status * string
-(** Whitelist check over the IMA log: any unknown or mismatching binary
-    hash is flagged. *)
+val ima_verdict : (string * string) list -> Report.status * string
+(** Whitelist check over the IMA log: any binary whose hash is not the
+    pristine one for its name is flagged. *)

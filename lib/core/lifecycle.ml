@@ -19,8 +19,8 @@ let suspension_time (flavor : Hypervisor.Flavor.t) =
 let resume_time (flavor : Hypervisor.Flavor.t) =
   Costs.resume_base + (flavor.mem_mb * Costs.suspend_per_mem_gb / 2048)
 
-let migration_transfer_time ~net (flavor : Hypervisor.Flavor.t) =
+let migration_transfer_time (flavor : Hypervisor.Flavor.t) =
   let dirty_bytes =
     int_of_float (float_of_int (flavor.mem_mb * 1024 * 1024) *. Costs.migration_dirty_fraction)
   in
-  Costs.migration_base + Net.Network.transfer_time net ~bytes:dirty_bytes
+  Costs.migration_base + Net.Network.transfer_time ~bytes:dirty_bytes

@@ -19,6 +19,6 @@ val termination_time : unit -> Sim.Time.t
 val suspension_time : Hypervisor.Flavor.t -> Sim.Time.t
 val resume_time : Hypervisor.Flavor.t -> Sim.Time.t
 
-val migration_transfer_time : net:Net.Network.t -> Hypervisor.Flavor.t -> Sim.Time.t
+val migration_transfer_time : Hypervisor.Flavor.t -> Sim.Time.t
 (** Pre-copy transfer of the dirty fraction of RAM over the data-center
     network, plus fixed orchestration overhead. *)

@@ -590,7 +590,11 @@ let miller_rabin_round drbg n n_minus_1 d s =
     not !witness
   end
 
-let is_probable_prime ?(rounds = 24) drbg n =
+(* Miller-Rabin rounds: a composite survives all of them with probability
+   at most 4^-24. *)
+let miller_rabin_rounds = 24
+
+let is_probable_prime drbg n =
   match to_int n with
   | Some v when v < 2 -> false
   | Some v when v < 1_000_000 ->
@@ -604,7 +608,9 @@ let is_probable_prime ?(rounds = 24) drbg n =
         let n_minus_1 = sub n one in
         let rec split d s = if is_odd d then (d, s) else split (shift_right d 1) (s + 1) in
         let d, s = split n_minus_1 0 in
-        let rec rounds_ok i = i >= rounds || (miller_rabin_round drbg n n_minus_1 d s && rounds_ok (i + 1)) in
+        let rec rounds_ok i =
+          i >= miller_rabin_rounds || (miller_rabin_round drbg n n_minus_1 d s && rounds_ok (i + 1))
+        in
         rounds_ok 0
       end
 

@@ -75,8 +75,8 @@ val random_bits : Drbg.t -> int -> t
 val random_below : Drbg.t -> t -> t
 (** Uniform in [\[0, bound)]; [bound] must be positive. *)
 
-val is_probable_prime : ?rounds:int -> Drbg.t -> t -> bool
-(** Miller-Rabin with random bases (plus small trial division). *)
+val is_probable_prime : Drbg.t -> t -> bool
+(** Miller-Rabin with 24 random bases (plus small trial division). *)
 
 val generate_prime : Drbg.t -> bits:int -> t
 (** A random probable prime with the top two bits set. *)

@@ -10,9 +10,6 @@ type detector_row = {
 }
 
 let channel_with_long_burst ~seed long_burst =
-  let params =
-    { Attacks.Covert_channel.default_params with Attacks.Covert_channel.long_burst }
-  in
   let prng = Sim.Prng.create seed in
   let bits = Attacks.Covert_channel.random_bits prng 80 in
   let engine = Sim.Engine.create () in
@@ -21,16 +18,16 @@ let channel_with_long_burst ~seed long_burst =
   let receiver = Hypervisor.Credit_scheduler.add_domain sched ~name:"r" ~weight:256 in
   ignore
     (Hypervisor.Credit_scheduler.add_vcpu sched sender ~pin:0
-       (Attacks.Covert_channel.sender_program ~params ~bits ())
+       (Attacks.Covert_channel.sender_program ~long_burst ~bits ())
       : Hypervisor.Credit_scheduler.vcpu);
-  let rp, stamps = Attacks.Covert_channel.receiver_program ~params () in
+  let rp, stamps = Attacks.Covert_channel.receiver_program () in
   ignore (Hypervisor.Credit_scheduler.add_vcpu sched receiver ~pin:0 rp
            : Hypervisor.Credit_scheduler.vcpu);
   Sim.Engine.run_until engine (Sim.Time.sec 10);
-  let received = Attacks.Covert_channel.decode ~params (stamps ()) in
+  let received = Attacks.Covert_channel.decode ~long_burst (stamps ()) in
   let ber = Attacks.Covert_channel.bit_error_rate ~sent:bits ~received in
   let counts = Hypervisor.Credit_scheduler.burst_counts sender in
-  let status, _ = Interpret.histogram_verdict Interpret.default_refs counts in
+  let status, _ = Interpret.histogram_verdict counts in
   let dist = Sim.Stats.Histogram.distribution (Sim.Stats.Histogram.of_counts ~width:1.0 counts) in
   let values = Array.init (Array.length counts) (fun i -> float_of_int i +. 0.5) in
   let separation =
@@ -68,10 +65,10 @@ let benign_case ~label programs =
            : Hypervisor.Credit_scheduler.vcpu);
   Sim.Engine.run_until engine (Sim.Time.sec 10);
   let counts = Hypervisor.Credit_scheduler.burst_counts d in
-  let status, evidence = Interpret.histogram_verdict Interpret.default_refs counts in
+  let status, evidence = Interpret.histogram_verdict counts in
   { label; detected = (match status with Report.Compromised _ -> true | _ -> false); evidence }
 
-let benign_false_positives ?seed:_ () =
+let benign_false_positives () =
   [
     benign_case ~label:"steady CPU-bound" [ Hypervisor.Program.busy_loop () ];
     benign_case ~label:"steady 20% duty cycle"
@@ -92,10 +89,9 @@ let benign_false_positives ?seed:_ () =
 type tick_row = { tick_ms : float; slowdown : float }
 
 let attack_slowdown ~tick =
-  let config = { Hypervisor.Credit_scheduler.default_config with tick } in
   let run attacker =
     let engine = Sim.Engine.create () in
-    let sched = Hypervisor.Credit_scheduler.create ~config ~engine ~pcpus:2 () in
+    let sched = Hypervisor.Credit_scheduler.create ~tick ~engine ~pcpus:2 () in
     let victim = Hypervisor.Credit_scheduler.add_domain sched ~name:"v" ~weight:256 in
     let finish = ref 0 in
     ignore
@@ -122,7 +118,7 @@ let attack_slowdown ~tick =
   let attacked = run true in
   { tick_ms = Sim.Time.to_ms tick; slowdown = float_of_int attacked /. float_of_int solo }
 
-let tick_sweep ?seed:_ () =
+let tick_sweep () =
   List.map (fun ms -> attack_slowdown ~tick:(Sim.Time.ms ms)) [ 10; 5; 2; 1 ]
 
 (* --- Detection latency ------------------------------------------------------- *)
@@ -151,8 +147,7 @@ let one_trial ~seed ~schedule ~infect_after =
       let server = Option.get (Cloud.find_server cloud host) in
       let inst = Option.get (Hypervisor.Server.find server vid) in
       let infected_at = Cloud.now cloud in
-      ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm ()
-               : Hypervisor.Guest_os.process);
+      ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
       Cloud.run_for cloud (Sim.Time.minutes 3);
       match Controller.responses controller with
       | r :: _ -> Some (Sim.Time.to_ms (r.Controller.at - infected_at))

@@ -23,13 +23,13 @@ val detector_sweep : ?seed:int -> unit -> detector_row list
 (** False-positive probe: benign two-phase workloads vs the detector. *)
 type benign_row = { label : string; detected : bool; evidence : string }
 
-val benign_false_positives : ?seed:int -> unit -> benign_row list
+val benign_false_positives : unit -> benign_row list
 
 (** Scheduler tick ablation: victim slowdown under the boost attack as the
     debit tick shrinks. *)
 type tick_row = { tick_ms : float; slowdown : float }
 
-val tick_sweep : ?seed:int -> unit -> tick_row list
+val tick_sweep : unit -> tick_row list
 
 (** Detection-latency vs attestation schedule. *)
 type latency_row = {

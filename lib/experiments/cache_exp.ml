@@ -45,12 +45,9 @@ let run ?(seed = 42) () =
   let air = Sim.Time.ms (10 * (List.length bits + 8)) in
   Sim.Engine.run_until engine air;
   let got = Attacks.Cache_channel.received_bits ~count:(List.length bits) (stream ()) in
-  let refs =
-    { Core.Interpret.default_refs with Core.Interpret.covert_sources = [ Core.Interpret.Cache_misses ] }
-  in
   let party label owner =
     let windows = Hypervisor.Cache.miss_windows cache ~owner ~since:0 in
-    let status, evidence = Core.Interpret.cache_verdict refs windows in
+    let status, evidence = Core.Interpret.cache_verdict windows in
     { label; windows; status; evidence }
   in
   {

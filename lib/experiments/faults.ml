@@ -2,7 +2,7 @@
    under an adversarial (lossy) network.
 
    Each row builds a fresh cloud, launches one monitored VM over a clean
-   network, then turns on a fault adversary and runs [rounds] one-time
+   network, then turns on a fault adversary and runs 20 one-time
    attestations (controller -> AS -> cloud server).  The retry/resync layer
    (Network.call_with_retry, secure-channel record caching and resets, the
    bounded re-attestation in lib/core) is what keeps the success rate up;
@@ -25,7 +25,8 @@ type row = {
 
 type result = row list
 
-let rounds_default = 20
+(* One-time attestations per adversary. *)
+let rounds = 20
 
 let scenarios ~seed =
   [
@@ -38,7 +39,7 @@ let scenarios ~seed =
     ("blackout", fun net -> Net.Network.set_adversary net (Net.Fault.blackout ()));
   ]
 
-let run_one ~seed ~rounds install =
+let run_one ~seed install =
   let cloud = Cloud.build ~config:(Common.fast_config ~seed) () in
   let customer = Cloud.Customer.create cloud ~name:"alice" in
   let vid =
@@ -79,13 +80,11 @@ let run_one ~seed ~rounds install =
     Net.Network.drop_count net,
     Net.Network.retry_count net )
 
-let run ?(seed = 2015) ?(rounds = rounds_default) () =
+let run ?(seed = 2015) () =
   let rows =
     List.map
       (fun (label, install) ->
-        let healthy, unknown, errors, mean_ms, drops, retries =
-          run_one ~seed ~rounds install
-        in
+        let healthy, unknown, errors, mean_ms, drops, retries = run_one ~seed install in
         { label; rounds; healthy; unknown; errors; mean_ms; added_ms = 0.0; drops; retries })
       (scenarios ~seed)
   in

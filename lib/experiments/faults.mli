@@ -1,7 +1,7 @@
 (** Fault-injection sweep: attestation availability on a lossy network.
 
     For each adversary (independent drop probability p, a deterministic
-    drop-every-3rd, and a full blackout) this runs a batch of one-time
+    drop-every-3rd, and a full blackout) this runs 20 one-time
     attestations through the whole Controller -> Attestation Server ->
     cloud server chain and reports how many rounds still ended in a
     [Healthy] verdict thanks to the retry/resync layer, how many degraded
@@ -22,7 +22,7 @@ type row = {
 
 type result = row list
 
-val run : ?seed:int -> ?rounds:int -> unit -> result
+val run : ?seed:int -> unit -> result
 val print : result -> unit
 
 val clean : result -> bool

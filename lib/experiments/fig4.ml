@@ -6,7 +6,10 @@ type result = {
   trace : (float * float) list;
 }
 
-let run ?(seed = 42) ?(bits = 96) () =
+(* Bits transmitted in one run. *)
+let bits = 96
+
+let run ?(seed = 42) () =
   let prng = Sim.Prng.create seed in
   let payload = Attacks.Covert_channel.random_bits prng bits in
   let engine = Sim.Engine.create () in
@@ -20,7 +23,7 @@ let run ?(seed = 42) ?(bits = 96) () =
            : Hypervisor.Credit_scheduler.vcpu);
   ignore (Hypervisor.Credit_scheduler.add_vcpu sched receiver ~pin:0 receiver_prog
            : Hypervisor.Credit_scheduler.vcpu);
-  let air_time = Attacks.Covert_channel.transmission_time ~bits () in
+  let air_time = Attacks.Covert_channel.transmission_time ~bits in
   Sim.Engine.run_until engine (air_time + Sim.Time.sec 2);
   let bits_received = Attacks.Covert_channel.decode (stamps ()) in
   let ber = Attacks.Covert_channel.bit_error_rate ~sent:payload ~received:bits_received in

@@ -13,6 +13,6 @@ type result = {
   trace : (float * float) list;  (** (time ms, sender CPU interval ms) *)
 }
 
-val run : ?seed:int -> ?bits:int -> unit -> result
+val run : ?seed:int -> unit -> result
 
 val print : result -> unit

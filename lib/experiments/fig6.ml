@@ -37,7 +37,7 @@ let scenario (spec : Workloads.Spec.t) attacker =
   Sim.Engine.run_until engine horizon;
   if !finish = 0 then horizon else !finish
 
-let run ?seed:_ () =
+let run () =
   let victims = List.map (fun s -> s.Workloads.Spec.name) Workloads.Spec.all in
   let cells =
     List.concat_map

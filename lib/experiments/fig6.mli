@@ -14,5 +14,5 @@ type result = { cells : cell list; attackers : string list; victims : string lis
 val attacker_configs : string list
 (** "idle", the six benchmarks, "CPU_avail" (the attack). *)
 
-val run : ?seed:int -> unit -> result
+val run : unit -> result
 val print : result -> unit

@@ -60,8 +60,7 @@ let scenario attacker =
   in
   let pct v = 100.0 *. float_of_int v /. float_of_int window in
   let victim_status, _evidence =
-    Core.Interpret.interpret Core.Interpret.default_refs ~image_name:None
-      Core.Property.Cpu_availability
+    Core.Interpret.interpret ~image_name:None Core.Property.Cpu_availability
       [
         Monitors.Measurement.Measured_cpu
           { vtime = victim_vtime; steal = victim_steal; window; vcpus = 1 };
@@ -69,7 +68,7 @@ let scenario attacker =
   in
   { attacker; attacker_pct = pct attacker_vtime; victim_pct = pct victim_vtime; victim_status }
 
-let run ?seed:_ () = List.map scenario Fig6.attacker_configs
+let run () = List.map scenario Fig6.attacker_configs
 
 let print rows =
   Common.section "Figure 7: relative CPU usage, attacker vs victim";

@@ -16,5 +16,5 @@ type row = {
 
 type result = row list
 
-val run : ?seed:int -> unit -> result
+val run : unit -> result
 val print : result -> unit

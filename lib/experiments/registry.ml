@@ -41,10 +41,10 @@ let entries =
         report ~print:Fig4.print (Fig4.run ~seed ()));
     entry "fig5" "covert-channel vulnerability measurements (Fig. 5)" (fun ~seed ->
         report ~print:Fig5.print (Fig5.run ~seed ()));
-    entry "fig6" "performance impact of CPU-availability attacks (Fig. 6)" (fun ~seed ->
-        report ~print:Fig6.print (Fig6.run ~seed ()));
-    entry "fig7" "CPU-availability vulnerability measurements (Fig. 7)" (fun ~seed ->
-        report ~print:Fig7.print (Fig7.run ~seed ()));
+    entry "fig6" "performance impact of CPU-availability attacks (Fig. 6)" (fun ~seed:_ ->
+        report ~print:Fig6.print (Fig6.run ()));
+    entry "fig7" "CPU-availability vulnerability measurements (Fig. 7)" (fun ~seed:_ ->
+        report ~print:Fig7.print (Fig7.run ()));
     entry "fig9" "VM launching performance (Fig. 9)" (fun ~seed ->
         report ~print:Fig9.print ~to_json:(Fig9.to_json ~seed) (Fig9.run ~seed ()));
     entry "fig10" "performance effect of runtime attestation (Fig. 10)" (fun ~seed ->

@@ -26,7 +26,7 @@ type t = {
   mon_fresh : Sim.Stats.Fraction_series.t;
 }
 
-let create ?cap ?(seed = 0) () =
+let create ?(seed = 0) () =
   {
     offered = 0;
     served = 0;
@@ -35,9 +35,9 @@ let create ?cap ?(seed = 0) () =
     measurements = 0;
     unhealthy = 0;
     sheds = Array.make 3 0;
-    latency = Sim.Stats.Reservoir.create ?cap ~seed:(seed lxor 0x6c617465) ();
+    latency = Sim.Stats.Reservoir.create ~seed:(seed lxor 0x6c617465) ();
     batches = 0;
-    batch_sizes = Sim.Stats.Reservoir.create ?cap ~seed:(seed lxor 0x62617463) ();
+    batch_sizes = Sim.Stats.Reservoir.create ~seed:(seed lxor 0x62617463) ();
     audit_appends = 0;
     audit_checkpoints = 0;
     audit_proofs = 0;

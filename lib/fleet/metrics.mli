@@ -9,8 +9,8 @@
 
 type t
 
-val create : ?cap:int -> ?seed:int -> unit -> t
-(** [cap] bounds each sample reservoir (default {!Sim.Stats.Reservoir}'s);
+val create : ?seed:int -> unit -> t
+(** Each sample reservoir keeps {!Sim.Stats.Reservoir}'s default cap;
     [seed] (default 0) seeds the reservoirs' subsampling prngs. *)
 
 val merge_into : t -> t -> unit

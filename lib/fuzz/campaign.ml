@@ -38,7 +38,7 @@ let status_trace (out : Replay.outcome) =
    replaced (not removed — op indices and slot references must stay put)
    with [Clear_fault] in BOTH twins, because an adversary counting
    messages legitimately hits different messages on the two paths. *)
-let batch_equiv ?bug scenario =
+let batch_equiv scenario =
   let strip =
     List.map (function Op.Set_fault _ -> Op.Clear_fault | o -> o) scenario.Op.ops
   in
@@ -50,8 +50,8 @@ let batch_equiv ?bug scenario =
       (fun (v : Oracle.violation) -> if v.oracle = "exception" then Some v.detail else None)
       out.violations
   in
-  let a = Replay.run ?bug { scenario with Op.ops = strip } in
-  let b = Replay.run ?bug { scenario with Op.ops = unbatch } in
+  let a = Replay.run { scenario with Op.ops = strip } in
+  let b = Replay.run { scenario with Op.ops = unbatch } in
   match (raised a, raised b) with
   | Some e, _ | _, Some e -> Some ("twin replay raised: " ^ e)
   | None, None ->
@@ -59,8 +59,7 @@ let batch_equiv ?bug scenario =
         Some "batched and unbatched twins delivered different verdict statuses"
       else None
 
-let campaign ?(bug = Replay.No_bug) ?(check_determinism = true)
-    ?(check_batch_equiv = true) ?(shrink_budget = 500) ~seed0 ~runs ~ops_per_run () =
+let campaign ~seed0 ~runs ~ops_per_run () =
   let failures = ref [] in
   let det_mismatches = ref 0 in
   let batch_checked = ref 0 in
@@ -72,27 +71,23 @@ let campaign ?(bug = Replay.No_bug) ?(check_determinism = true)
     let seed = seed0 + i in
     let scenario = Gen.generate ~seed ~ops:ops_per_run in
     total_ops := !total_ops + List.length scenario.Op.ops;
-    let out = Replay.run ~bug scenario in
+    let out = Replay.run scenario in
     total_vms := !total_vms + out.Replay.vms_launched;
     total_attests := !total_attests + out.Replay.attests_run;
-    if check_determinism && (Replay.run ~bug scenario).Replay.digest <> out.Replay.digest then
-      incr det_mismatches;
+    if (Replay.run scenario).Replay.digest <> out.Replay.digest then incr det_mismatches;
     (match out.Replay.violations with
     | [] -> ()
     | first :: _ ->
-        let shrunk, shrink_replays =
-          Shrink.minimize ~bug ~oracle:first.Oracle.oracle
-            ~max_replays:shrink_budget scenario
-        in
+        let shrunk, shrink_replays = Shrink.minimize ~oracle:first.Oracle.oracle scenario in
         failures :=
           { scenario; first; shrunk; repro = Op.to_string shrunk; shrink_replays }
           :: !failures);
     if
-      check_batch_equiv && out.Replay.violations = []
+      out.Replay.violations = []
       && List.exists (function Op.Set_batching true -> true | _ -> false) scenario.Op.ops
     then begin
       incr batch_checked;
-      match batch_equiv ~bug scenario with
+      match batch_equiv scenario with
       | None -> ()
       | Some detail -> batch_mismatches := (seed, detail) :: !batch_mismatches
     end

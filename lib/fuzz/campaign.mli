@@ -36,16 +36,7 @@ type report = {
   batch_mismatches : (int * string) list;  (** (seed, detail) *)
 }
 
-val campaign :
-  ?bug:Replay.bug ->
-  ?check_determinism:bool ->
-  ?check_batch_equiv:bool ->
-  ?shrink_budget:int ->
-  seed0:int ->
-  runs:int ->
-  ops_per_run:int ->
-  unit ->
-  report
+val campaign : seed0:int -> runs:int -> ops_per_run:int -> unit -> report
 
 val clean : report -> bool
 (** No failures, no determinism mismatches, no batching mismatches. *)

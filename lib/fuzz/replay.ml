@@ -176,8 +176,7 @@ let infect st host vids =
           | None -> false
           | Some inst ->
               ignore
-                (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm ()
-                  : Hypervisor.Guest_os.process);
+                (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
               true)
         vids
 

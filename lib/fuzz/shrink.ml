@@ -27,7 +27,10 @@ let split_into n lst =
   in
   go 0 lst []
 
-let minimize ?(bug = Replay.No_bug) ?oracle ?(max_replays = 500) scenario =
+(* Replays one minimisation may spend. *)
+let max_replays = 500
+
+let minimize ?(bug = Replay.No_bug) ?oracle scenario =
   let replays = ref 0 in
   let fails ops =
     if !replays >= max_replays then false

@@ -13,12 +13,7 @@
 val triggers : ?bug:Replay.bug -> ?oracle:string -> Op.scenario -> bool
 (** Does replaying the scenario violate [oracle] (any oracle if omitted)? *)
 
-val minimize :
-  ?bug:Replay.bug ->
-  ?oracle:string ->
-  ?max_replays:int ->
-  Op.scenario ->
-  Op.scenario * int
+val minimize : ?bug:Replay.bug -> ?oracle:string -> Op.scenario -> Op.scenario * int
 (** [minimize scenario] returns the shrunk scenario and the number of
-    replays spent.  [max_replays] defaults to 500.  If the input does not
-    fail at all, it is returned unchanged (0 extra shrink work). *)
+    replays spent, at most 500.  If the input does not fail at all, it is
+    returned unchanged (0 extra shrink work). *)

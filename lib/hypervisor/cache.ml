@@ -1,24 +1,23 @@
 type line = { owner : string; tag : int }
 
+(* 64 sets; misses are counted per 10 ms accounting window. *)
+let nsets = 64
+let window = Sim.Time.ms 10
+
 type t = {
   engine : Sim.Engine.t;
-  nsets : int;
   nways : int;
-  window : Sim.Time.t;
   sets_arr : line list array; (* each list: MRU first, length <= nways *)
   miss_bins : (string, (int, int) Hashtbl.t) Hashtbl.t; (* owner -> window idx -> count *)
   totals : (string, int) Hashtbl.t;
 }
 
-let create ~engine ?(sets = 64) ?(ways = 8) ?(window = Sim.Time.ms 10) () =
-  if sets <= 0 || ways <= 0 then invalid_arg "Cache.create: sets and ways must be positive";
-  if window <= 0 then invalid_arg "Cache.create: window must be positive";
+let create ~engine ?(ways = 8) () =
+  if ways <= 0 then invalid_arg "Cache.create: ways must be positive";
   {
     engine;
-    nsets = sets;
     nways = ways;
-    window;
-    sets_arr = Array.make sets [];
+    sets_arr = Array.make nsets [];
     miss_bins = Hashtbl.create 8;
     totals = Hashtbl.create 8;
   }
@@ -26,10 +25,10 @@ let create ~engine ?(sets = 64) ?(ways = 8) ?(window = Sim.Time.ms 10) () =
 let ways t = t.nways
 
 let check_set t set =
-  if set < 0 || set >= t.nsets then invalid_arg "Cache: set index out of range"
+  if set < 0 || set >= nsets then invalid_arg "Cache: set index out of range"
 
 let record_miss t owner =
-  let idx = Sim.Engine.now t.engine / t.window in
+  let idx = Sim.Engine.now t.engine / window in
   let bins =
     match Hashtbl.find_opt t.miss_bins owner with
     | Some b -> b
@@ -77,8 +76,8 @@ let misses t ~owner = Option.value ~default:0 (Hashtbl.find_opt t.totals owner)
 
 let miss_windows t ~owner ~since =
   let now = Sim.Engine.now t.engine in
-  let first = since / t.window in
-  let last = now / t.window in
+  let first = since / window in
+  let last = now / window in
   let n = max 0 (last - first + 1) in
   match Hashtbl.find_opt t.miss_bins owner with
   | None -> Array.make n 0

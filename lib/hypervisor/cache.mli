@@ -13,9 +13,8 @@
 
 type t
 
-val create :
-  engine:Sim.Engine.t -> ?sets:int -> ?ways:int -> ?window:Sim.Time.t -> unit -> t
-(** Defaults: 64 sets, 8 ways, 10 ms accounting windows. *)
+val create : engine:Sim.Engine.t -> ?ways:int -> unit -> t
+(** 64 sets of [ways] lines (default 8), with 10 ms accounting windows. *)
 
 val ways : t -> int
 

@@ -49,27 +49,19 @@ type pcpu = {
   mutable busy : Sim.Time.t;
 }
 
-type config = {
-  slice : Sim.Time.t;
-  tick : Sim.Time.t;
-  accounting : Sim.Time.t;
-  credits_per_tick : int;
-  credit_cap : int;
-  burst_bins : int;
-}
-
-let default_config =
-  {
-    slice = Sim.Time.ms 30;
-    tick = Sim.Time.ms 10;
-    accounting = Sim.Time.ms 30;
-    credits_per_tick = 100;
-    credit_cap = 600;
-    burst_bins = 30;
-  }
+(* Xen's credit-scheduler defaults: a 30 ms timeslice, credits
+   distributed every 30 ms and debited 100 per tick (the tick is the one
+   parameter experiments vary), hoarding capped at 600 credits, and a burst
+   histogram of 30 1 ms bins. *)
+let slice = Sim.Time.ms 30
+let default_tick = Sim.Time.ms 10
+let accounting = Sim.Time.ms 30
+let credits_per_tick = 100
+let credit_cap = 600
+let burst_bins = 30
 
 type t = {
-  cfg : config;
+  tick : Sim.Time.t;
   engine : Sim.Engine.t;
   cpus : pcpu array;
   mutable doms : domain list;
@@ -134,7 +126,7 @@ let record_burst t v len =
     let d = v.dom in
     let ms = Sim.Time.to_ms len in
     let bin = int_of_float (ceil ms) - 1 in
-    let bin = if bin < 0 then 0 else if bin >= t.cfg.burst_bins then t.cfg.burst_bins - 1 else bin in
+    let bin = if bin < 0 then 0 else if bin >= burst_bins then burst_bins - 1 else bin in
     d.burst_hist.(bin) <- d.burst_hist.(bin) + 1;
     if d.trace_on then d.trace <- (v.run_start, len) :: d.trace
   end
@@ -194,7 +186,7 @@ and run t pc v =
   pc.running <- Some v;
   v.run_start <- now t;
   v.last_charge <- now t;
-  pc.slice_end <- now t + t.cfg.slice;
+  pc.slice_end <- now t + slice;
   arm_cpu_event t pc v
 
 and arm_cpu_event t pc v =
@@ -336,8 +328,8 @@ let on_tick t =
              the tick instant is debited.  A vCPU dispatched at this exact
              instant is exempt: the tick interrupt preceded the dispatch. *)
           charge t v;
-          v.credits <- max (-t.cfg.credit_cap) (v.credits - t.cfg.credits_per_tick);
-          if v.priority = Boost && now t - v.boosted_at >= t.cfg.tick then
+          v.credits <- max (-credit_cap) (v.credits - credits_per_tick);
+          if v.priority = Boost && now t - v.boosted_at >= t.tick then
             v.priority <- (if v.credits > 0 then Under else Over)
           else refresh_priority v
       | Some _ | None -> ());
@@ -354,8 +346,8 @@ let on_accounting t =
   in
   let total_weight = List.fold_left (fun acc d -> acc + d.weight) 0 live_doms in
   if total_weight > 0 then begin
-    let periods = t.cfg.accounting / t.cfg.tick in
-    let pool = Array.length t.cpus * periods * t.cfg.credits_per_tick in
+    let periods = accounting / t.tick in
+    let pool = Array.length t.cpus * periods * credits_per_tick in
     List.iter
       (fun d ->
         let live = List.filter (fun v -> v.state <> Dead) d.vcpus in
@@ -364,7 +356,7 @@ let on_accounting t =
           let share = pool * d.weight / total_weight / n in
           List.iter
             (fun v ->
-              v.credits <- min t.cfg.credit_cap (v.credits + share);
+              v.credits <- min credit_cap (v.credits + share);
               if v.state = Ready && v.priority <> Boost then begin
                 let fresh = if v.credits > 0 then Under else Over in
                 if fresh <> v.priority then begin
@@ -379,11 +371,11 @@ let on_accounting t =
   end;
   Array.iter (fun pc -> maybe_preempt t pc) t.cpus
 
-let create ?(config = default_config) ~engine ~pcpus () =
+let create ?(tick = default_tick) ~engine ~pcpus () =
   if pcpus <= 0 then invalid_arg "Credit_scheduler.create: need at least one pCPU";
   let t =
     {
-      cfg = config;
+      tick;
       engine;
       cpus =
         Array.init pcpus (fun id ->
@@ -403,10 +395,9 @@ let create ?(config = default_config) ~engine ~pcpus () =
       next_pin = 0;
     }
   in
-  ignore (Sim.Engine.every engine ~period:config.tick (fun () -> on_tick t) : Sim.Engine.handle);
+  ignore (Sim.Engine.every engine ~period:tick (fun () -> on_tick t) : Sim.Engine.handle);
   ignore
-    (Sim.Engine.every engine ~period:config.accounting (fun () -> on_accounting t)
-      : Sim.Engine.handle);
+    (Sim.Engine.every engine ~period:accounting (fun () -> on_accounting t) : Sim.Engine.handle);
   t
 
 let add_domain t ~name ~weight =
@@ -419,7 +410,7 @@ let add_domain t ~name ~weight =
       vcpus = [];
       runtime = 0;
       waittime = 0;
-      burst_hist = Array.make t.cfg.burst_bins 0;
+      burst_hist = Array.make burst_bins 0;
       trace_on = false;
       trace = [];
       paused = false;
@@ -453,7 +444,7 @@ let add_vcpu t dom ?pin program =
       state = Ready;
       priority = Under;
       remaining = 0;
-      credits = t.cfg.credits_per_tick * 3;
+      credits = credits_per_tick * 3;
       run_start = now t;
       last_charge = now t;
       boosted_at = now t;

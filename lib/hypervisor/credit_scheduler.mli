@@ -22,19 +22,11 @@ type t
 type domain
 type vcpu
 
-type config = {
-  slice : Sim.Time.t;  (** scheduling timeslice, default 30 ms *)
-  tick : Sim.Time.t;  (** debit tick, default 10 ms *)
-  accounting : Sim.Time.t;  (** credit distribution period, default 30 ms *)
-  credits_per_tick : int;  (** debit per tick, default 100 *)
-  credit_cap : int;  (** hoarding cap, default 600 *)
-  burst_bins : int;  (** histogram bins of 1 ms, default 30 *)
-}
-
-val default_config : config
-
-val create : ?config:config -> engine:Sim.Engine.t -> pcpus:int -> unit -> t
-(** Also installs the recurring tick and accounting events. *)
+val create : ?tick:Sim.Time.t -> engine:Sim.Engine.t -> pcpus:int -> unit -> t
+(** Also installs the recurring debit-tick (default 10 ms) and accounting
+    events.  Everything else is Xen's default: 30 ms timeslice and
+    accounting period, 100 credits debited per tick, a 600-credit hoarding
+    cap, 30 histogram bins of 1 ms. *)
 
 (** {2 Domains and vCPUs} *)
 

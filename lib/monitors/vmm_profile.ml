@@ -1,8 +1,11 @@
 type sample = { at : Sim.Time.t; runtime : Sim.Time.t; wait : Sim.Time.t }
 
+(* One sample every 100 ms, 1200 kept: two minutes of history. *)
+let sample_period = Sim.Time.ms 100
+let history = 1200
+
 type t = {
   server : Hypervisor.Server.t;
-  history : int;
   table : (string, sample list ref) Hashtbl.t; (* vid -> samples, newest first *)
 }
 
@@ -23,12 +26,12 @@ let record t () =
             r
       in
       samples := { at = now; runtime; wait } :: !samples;
-      if List.length !samples > t.history then
-        samples := List.filteri (fun i _ -> i < t.history) !samples)
+      if List.length !samples > history then
+        samples := List.filteri (fun i _ -> i < history) !samples)
     (Hypervisor.Server.instances t.server)
 
-let create ?(sample_period = Sim.Time.ms 100) ?(history = 1200) server =
-  let t = { server; history; table = Hashtbl.create 8 } in
+let create server =
+  let t = { server; table = Hashtbl.create 8 } in
   ignore
     (Sim.Engine.every (Hypervisor.Server.engine server) ~period:sample_period (record t)
       : Sim.Engine.handle);

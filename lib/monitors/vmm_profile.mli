@@ -8,9 +8,9 @@
 
 type t
 
-val create : ?sample_period:Sim.Time.t -> ?history:int -> Hypervisor.Server.t -> t
-(** Installs a recurring sampling event on the server's engine.
-    Defaults: 100 ms period, 1200 samples of history (2 minutes). *)
+val create : Hypervisor.Server.t -> t
+(** Installs a recurring sampling event on the server's engine: one
+    sample every 100 ms, 1200 samples of history (2 minutes). *)
 
 val cpu_time : t -> vid:string -> window:Sim.Time.t -> Sim.Time.t option
 (** Virtual run time consumed by the VM over the last [window]; clamps to

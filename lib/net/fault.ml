@@ -3,28 +3,28 @@
    the paper's availability threat: a lossy or garbling network leg that the
    attestation path must survive through retries and channel resets. *)
 
-let garble ?(offset = 0) payload =
+(* Flip the low bit of the first byte. *)
+let garble payload =
   if String.length payload = 0 then payload
   else begin
     let b = Bytes.of_string payload in
-    let i = offset mod Bytes.length b in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
     Bytes.to_string b
   end
 
-let drop_nth ?(phase = 0) n =
+let drop_nth n =
   if n <= 0 then invalid_arg "Fault.drop_nth: n must be positive";
-  let count = ref phase in
+  let count = ref 0 in
   fun (_ : Network.message) ->
     incr count;
     if !count mod n = 0 then Network.Drop else Network.Pass
 
-let garble_nth ?(phase = 0) ?offset n =
+let garble_nth n =
   if n <= 0 then invalid_arg "Fault.garble_nth: n must be positive";
-  let count = ref phase in
+  let count = ref 0 in
   fun (msg : Network.message) ->
     incr count;
-    if !count mod n = 0 then Network.Replace (garble ?offset msg.Network.payload)
+    if !count mod n = 0 then Network.Replace (garble msg.Network.payload)
     else Network.Pass
 
 let drop_first n =

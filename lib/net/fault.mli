@@ -10,14 +10,13 @@
     All are deterministic: the counting variants keep their own message
     counter, the probabilistic one draws from a seeded {!Sim.Prng}. *)
 
-val drop_nth : ?phase:int -> int -> Network.adversary
+val drop_nth : int -> Network.adversary
 (** [drop_nth n] drops every [n]-th observed message (the [n]-th,
-    [2n]-th, ...).  [phase] pre-advances the counter, e.g.
-    [drop_nth ~phase:(n - 1) n] drops the very first message. *)
+    [2n]-th, ...). *)
 
-val garble_nth : ?phase:int -> ?offset:int -> int -> Network.adversary
-(** [garble_nth n] flips one byte (at [offset], default 0, modulo the
-    length) of every [n]-th message instead of dropping it. *)
+val garble_nth : int -> Network.adversary
+(** [garble_nth n] flips one bit of the first byte of every [n]-th message
+    instead of dropping it. *)
 
 val drop_first : int -> Network.adversary
 (** [drop_first n] drops the first [n] messages, then passes everything —

@@ -27,11 +27,13 @@ let default_retry_policy =
     deadline = Some (Sim.Time.sec 2);
   }
 
+(* The paper's testbed LAN: 200 us base latency, 50 us jitter, 1 Gbps. *)
+let base_latency_us = 200
+let jitter_us = 50
+let bandwidth_bytes_per_us = 1000.0 *. 1.0e6 /. 8.0 /. 1.0e6
+
 type t = {
   prng : Sim.Prng.t;
-  base_latency_us : int;
-  jitter_us : int;
-  bandwidth_bytes_per_us : float;
   handlers : (address, string -> string) Hashtbl.t;
   mutable adversary : adversary option;
   mutable log : message list; (* newest first *)
@@ -42,12 +44,9 @@ type t = {
   mutable retries : int;
 }
 
-let create ?(base_latency_us = 200) ?(jitter_us = 50) ?(bandwidth_mbps = 1000.0) ~seed () =
+let create ~seed () =
   {
     prng = Sim.Prng.create seed;
-    base_latency_us;
-    jitter_us;
-    bandwidth_bytes_per_us = bandwidth_mbps *. 1.0e6 /. 8.0 /. 1.0e6;
     handlers = Hashtbl.create 16;
     adversary = None;
     log = [];
@@ -63,11 +62,10 @@ let unregister t addr = Hashtbl.remove t.handlers addr
 
 let leg_latency t nbytes =
   let jitter =
-    if t.jitter_us = 0 then 0
-    else int_of_float (abs_float (Sim.Prng.gaussian t.prng ~mu:0.0 ~sigma:(float_of_int t.jitter_us)))
+    int_of_float (abs_float (Sim.Prng.gaussian t.prng ~mu:0.0 ~sigma:(float_of_int jitter_us)))
   in
-  let wire = int_of_float (float_of_int nbytes /. t.bandwidth_bytes_per_us) in
-  t.base_latency_us + jitter + wire
+  let wire = int_of_float (float_of_int nbytes /. bandwidth_bytes_per_us) in
+  base_latency_us + jitter + wire
 
 let observe t ~src ~dst ~dir payload =
   t.seq <- t.seq + 1;
@@ -138,8 +136,8 @@ let call_with_retry ?policy t ~src ~dst payload =
   in
   go 1 Sim.Time.zero
 
-let transfer_time t ~bytes =
-  Sim.Time.us (t.base_latency_us + int_of_float (float_of_int bytes /. t.bandwidth_bytes_per_us))
+let transfer_time ~bytes =
+  Sim.Time.us (base_latency_us + int_of_float (float_of_int bytes /. bandwidth_bytes_per_us))
 
 let set_adversary t adv = t.adversary <- Some adv
 let clear_adversary t = t.adversary <- None

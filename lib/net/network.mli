@@ -43,15 +43,9 @@ type retry_policy = {
 val default_retry_policy : retry_policy
 (** 4 attempts, 2 ms initial backoff doubling to a 50 ms cap, 2 s deadline. *)
 
-val create :
-  ?base_latency_us:int ->
-  ?jitter_us:int ->
-  ?bandwidth_mbps:float ->
-  seed:int ->
-  unit ->
-  t
-(** Defaults model the paper's testbed LAN: 200 us base latency, 50 us
-    jitter, 1000 Mbps. *)
+val create : seed:int -> unit -> t
+(** A network modelled on the paper's testbed LAN: 200 us base latency,
+    50 us jitter, 1000 Mbps. *)
 
 val register : t -> address -> (string -> string) -> unit
 (** Install the request handler for an address (replacing any previous). *)
@@ -77,7 +71,7 @@ val call_with_retry :
     network to their ledgers.  [`No_such_host] is permanent and never
     retried.  [policy] defaults to {!default_retry_policy}. *)
 
-val transfer_time : t -> bytes:int -> Sim.Time.t
+val transfer_time : bytes:int -> Sim.Time.t
 (** Wire time for a bulk transfer of [bytes] (used for VM migration). *)
 
 val set_adversary : t -> adversary -> unit

@@ -438,8 +438,10 @@ module Client = struct
                   end
                 with Codec.Error _ -> Error `Malformed)))
 
-  let call_robust ?(attempts = 3) t plaintext =
-    let attempts = max 1 attempts in
+  (* Calls in total per robust exchange, the first included. *)
+  let robust_attempts = 3
+
+  let call_robust t plaintext =
     let rec go n =
       match call t plaintext with
       | Ok reply -> Ok reply
@@ -457,5 +459,5 @@ module Client = struct
           go (n - 1)
       | Error e -> Error e
     in
-    go attempts
+    go robust_attempts
 end

@@ -81,15 +81,15 @@ module Client : sig
       identical record, which an up-to-date server answers from its reply
       cache instead of re-executing. *)
 
-  val call_robust : ?attempts:int -> t -> string -> (string, error) result
+  val call_robust : t -> string -> (string, error) result
   (** [call] hardened against the adversarial network: on a {!transient}
       failure the same record is re-sent (served from the server's reply
       cache if it was already consumed); on a {!desync} failure the channel
       is {!reset} (fresh handshake) and the request re-sent under the new
-      session.  At most [attempts] (default 3) calls in total.  Non-
-      transient refusals fail immediately.  Note the resulting semantics
-      are at-least-once across a reset: only idempotent requests (e.g.
-      measurement collection) should ride this path. *)
+      session.  At most 3 calls in total.  Non-transient refusals fail
+      immediately.  Note the resulting semantics are at-least-once across
+      a reset: only idempotent requests (e.g. measurement collection)
+      should ride this path. *)
 
   val reset : t -> (unit, error) result
   (** Drop the session and run a fresh handshake over the same transport,

@@ -361,7 +361,10 @@ module Two_means = struct
       end
     end
 
-  let bimodal ?(min_separation = 0.25) ?(min_weight = 0.10) r =
+  let min_separation = 0.25
+  let min_weight = 0.10
+
+  let bimodal r =
     let w1, w2 = r.weights in
     r.separation >= min_separation && w1 >= min_weight && w2 >= min_weight
 end

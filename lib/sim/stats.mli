@@ -133,7 +133,8 @@ module Two_means : sig
   (** [cluster ~values ~mass] runs weighted 2-means on points [values] with
       weights [mass].  [None] when total mass is zero. *)
 
-  val bimodal : ?min_separation:float -> ?min_weight:float -> result -> bool
-  (** A distribution counts as bimodal when the clusters are far apart and
-      both carry non-trivial mass. *)
+  val bimodal : result -> bool
+  (** A distribution counts as bimodal when the clusters are far apart
+      (separation at least 0.25) and both carry non-trivial mass (at least
+      10 % each). *)
 end

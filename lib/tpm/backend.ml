@@ -32,7 +32,10 @@ let seed_prefix = function
   | Evtpm -> "evtpm|"
   | Cvm_report -> "cvm-device|"
 
-let create ?(key_bits = 1024) ?(num_registers = 64) ?(num_pcrs = 16) ?root kind ~seed () =
+(* PCRs per device. *)
+let num_pcrs = 16
+
+let create ?(key_bits = 1024) ?(num_registers = 64) ?root kind ~seed () =
   let drbg = Crypto.Drbg.create ~seed:(seed_prefix kind ^ seed) in
   let identity = Crypto.Rsa.generate drbg ~bits:key_bits in
   let platform_cert =

@@ -27,15 +27,9 @@ val kind_to_string : kind -> string
 type t
 
 val create :
-  ?key_bits:int ->
-  ?num_registers:int ->
-  ?num_pcrs:int ->
-  ?root:Platform_root.t ->
-  kind ->
-  seed:string ->
-  unit ->
-  t
-(** Defaults: 1024-bit keys, 64 evidence registers, 16 PCRs.  [seed] feeds
+  ?key_bits:int -> ?num_registers:int -> ?root:Platform_root.t -> kind -> seed:string -> unit -> t
+(** Defaults: 1024-bit keys, 64 evidence registers; every device has 16
+    PCRs.  [seed] feeds
     the device's DRBG under a per-kind prefix (["trust-module|"],
     ["evtpm|"], ["cvm-device|"]), so two kinds built from one seed never
     share a key stream.  A CVM device needs the vendor [root], which

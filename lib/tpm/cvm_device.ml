@@ -1,2 +1,1 @@
-let create ?key_bits ?num_registers ?num_pcrs ~root ~seed () =
-  Backend.create ?key_bits ?num_registers ?num_pcrs ~root Backend.Cvm_report ~seed ()
+let create ?key_bits ~root ~seed () = Backend.create ?key_bits ~root Backend.Cvm_report ~seed ()

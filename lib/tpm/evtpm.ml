@@ -1,2 +1,1 @@
-let create ?key_bits ?num_registers ?num_pcrs ~seed () =
-  Backend.create ?key_bits ?num_registers ?num_pcrs Backend.Evtpm ~seed ()
+let create ?key_bits ~seed () = Backend.create ?key_bits Backend.Evtpm ~seed ()

@@ -1,2 +1,1 @@
-let create ?key_bits ?num_registers ?num_pcrs ~seed () =
-  Backend.create ?key_bits ?num_registers ?num_pcrs Backend.Classic ~seed ()
+let create ?key_bits ~seed () = Backend.create ?key_bits Backend.Classic ~seed ()

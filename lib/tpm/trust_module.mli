@@ -3,5 +3,4 @@
     Kept for [perf/], which builds its devices through this module; the
     rest of the repository calls {!Backend.create}. *)
 
-val create :
-  ?key_bits:int -> ?num_registers:int -> ?num_pcrs:int -> seed:string -> unit -> Backend.t
+val create : ?key_bits:int -> seed:string -> unit -> Backend.t

@@ -23,7 +23,8 @@ let duty b = Sim.Time.to_ms b.run /. (Sim.Time.to_ms b.run +. Sim.Time.to_ms b.i
 let programs b ~vcpus () =
   List.init vcpus (fun _ -> Hypervisor.Program.duty_cycle ~run:b.run ~idle:b.idle)
 
-let vm ~vid ~owner ?(flavor = Hypervisor.Flavor.large) b =
+let vm ~vid ~owner b =
+  let flavor = Hypervisor.Flavor.large in
   Hypervisor.Vm.make ~vid ~owner ~image:Hypervisor.Image.ubuntu ~flavor
     ~programs:(programs b ~vcpus:flavor.Hypervisor.Flavor.vcpus)
     ()

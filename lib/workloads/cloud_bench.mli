@@ -17,7 +17,6 @@ val duty : t -> float
 val programs : t -> vcpus:int -> unit -> Hypervisor.Program.t list
 (** One duty-cycle program per vCPU. *)
 
-val vm :
-  vid:string -> owner:string -> ?flavor:Hypervisor.Flavor.t -> t -> Hypervisor.Vm.t
-(** A VM descriptor running this benchmark (default flavor: large, as in the
-    paper's runtime-attestation experiment). *)
+val vm : vid:string -> owner:string -> t -> Hypervisor.Vm.t
+(** A large-flavor VM descriptor running this benchmark, as in the paper's
+    runtime-attestation experiment. *)

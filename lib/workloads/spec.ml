@@ -8,7 +8,7 @@ let astar = { name = "astar"; work = Sim.Time.ms 2200 }
 let all = [ bzip2; hmmer; astar ]
 
 let program b ~on_done () =
-  Hypervisor.Program.compute_total ~chunk:(Sim.Time.ms 1) ~total:b.work ~on_done ()
+  Hypervisor.Program.compute_total ~total:b.work ~on_done ()
 
 let vm ~vid ~owner b ~on_done =
   Hypervisor.Vm.make ~vid ~owner ~image:Hypervisor.Image.cirros

@@ -14,7 +14,7 @@ let run_channel bits =
   ignore (Hypervisor.Credit_scheduler.add_vcpu sched sender ~pin:0 sp);
   ignore (Hypervisor.Credit_scheduler.add_vcpu sched receiver ~pin:0 rp);
   Sim.Engine.run_until engine
-    (Attacks.Covert_channel.transmission_time ~bits:(List.length bits) () + Sim.Time.sec 2);
+    (Attacks.Covert_channel.transmission_time ~bits:(List.length bits) + Sim.Time.sec 2);
   (Attacks.Covert_channel.decode (stamps ()), sender)
 
 let covert_roundtrip =
@@ -157,7 +157,7 @@ let test_malware_hidden () =
     Hypervisor.Vm.make ~vid:"v" ~owner:"o" ~image:Hypervisor.Image.cirros
       ~flavor:Hypervisor.Flavor.small ()
   in
-  let p = Attacks.Malware.infect_hidden vm () in
+  let p = Attacks.Malware.infect_hidden vm in
   Alcotest.(check bool) "hidden" true p.Hypervisor.Guest_os.hidden;
   Alcotest.(check bool) "not in guest view" false
     (List.mem p.Hypervisor.Guest_os.name (Hypervisor.Guest_os.visible_tasks vm.guest));
@@ -169,7 +169,7 @@ let test_malware_visible () =
     Hypervisor.Vm.make ~vid:"v" ~owner:"o" ~image:Hypervisor.Image.cirros
       ~flavor:Hypervisor.Flavor.small ()
   in
-  let p = Attacks.Malware.infect_visible vm () in
+  let p = Attacks.Malware.infect_visible vm in
   Alcotest.(check bool) "in guest view" true
     (List.mem p.Hypervisor.Guest_os.name (Hypervisor.Guest_os.visible_tasks vm.guest))
 
@@ -184,7 +184,7 @@ let msg dir payload =
   { Net.Network.seq = 1; src = "a"; dst = "b"; dir; payload }
 
 let test_flip_byte () =
-  let adv = Attacks.Network_attacker.flip_byte ~offset:2 ~min_len:4 () in
+  let adv = Attacks.Network_attacker.flip_byte ~min_len:4 () in
   (match adv (msg Net.Network.Request "abcdef") with
   | Net.Network.Replace p ->
       Alcotest.(check bool) "changed" false (String.equal p "abcdef");
@@ -195,7 +195,7 @@ let test_flip_byte () =
   | _ -> Alcotest.fail "short messages pass"
 
 let test_tamper_replies_only () =
-  let adv = Attacks.Network_attacker.tamper_replies ~offset:0 ~min_len:1 () in
+  let adv = Attacks.Network_attacker.tamper_replies ~min_len:1 () in
   (match adv (msg Net.Network.Request "request-bytes") with
   | Net.Network.Pass -> ()
   | _ -> Alcotest.fail "requests pass");

@@ -527,7 +527,7 @@ let test_interpret_startup () =
   let golden_p = Hypervisor.Server.golden_platform_measurement in
   let golden_i = Hypervisor.Image.golden_hash ~name:"ubuntu" in
   let status v =
-    fst (Interpret.interpret refs ~image_name:(Some "ubuntu") Property.Startup_integrity v)
+    fst (Interpret.interpret ~image_name:(Some "ubuntu") Property.Startup_integrity v)
   in
   Alcotest.(check bool) "healthy" true
     (status
@@ -558,7 +558,7 @@ let contains haystack needle =
 let test_interpret_runtime_integrity () =
   let status kernel visible =
     fst
-      (Interpret.interpret refs ~image_name:None Property.Runtime_integrity
+      (Interpret.interpret ~image_name:None Property.Runtime_integrity
          [ Monitors.Measurement.Measured_tasks { kernel; visible } ])
   in
   Alcotest.(check bool) "clean" true (status [ "a"; "b" ] [ "a"; "b" ] = Report.Healthy);
@@ -570,24 +570,24 @@ let test_interpret_covert_channel () =
   let counts_bimodal = Array.make 30 0 in
   counts_bimodal.(4) <- 50;
   counts_bimodal.(19) <- 50;
-  (match Interpret.histogram_verdict refs counts_bimodal with
+  (match Interpret.histogram_verdict counts_bimodal with
   | Report.Compromised _, _ -> ()
   | _ -> Alcotest.fail "bimodal must be flagged");
   let counts_benign = Array.make 30 0 in
   counts_benign.(29) <- 100;
-  (match Interpret.histogram_verdict refs counts_benign with
+  (match Interpret.histogram_verdict counts_benign with
   | Report.Healthy, _ -> ()
   | _ -> Alcotest.fail "unimodal must pass");
   let counts_sparse = Array.make 30 0 in
   counts_sparse.(4) <- 3;
-  (match Interpret.histogram_verdict refs counts_sparse with
+  (match Interpret.histogram_verdict counts_sparse with
   | Report.Unknown _, _ -> ()
   | _ -> Alcotest.fail "too few samples must be Unknown");
   (* Thresholds are honoured: nearby peaks below the separation cut pass. *)
   let counts_near = Array.make 30 0 in
   counts_near.(25) <- 50;
   counts_near.(29) <- 50;
-  match Interpret.histogram_verdict refs counts_near with
+  match Interpret.histogram_verdict counts_near with
   | Report.Healthy, _ -> ()
   | Report.Compromised _, _ -> Alcotest.fail "nearby peaks should not trip the detector"
   | Report.Unknown _, _ -> Alcotest.fail "should be decidable"
@@ -595,31 +595,30 @@ let test_interpret_covert_channel () =
 let test_interpret_cache_verdict () =
   (* Alternating quiet/loud windows: the signalling pattern. *)
   let signalling = Array.init 60 (fun i -> if i mod 2 = 0 then 0 else 128) in
-  (match Interpret.cache_verdict refs signalling with
+  (match Interpret.cache_verdict signalling with
   | Report.Compromised _, _ -> ()
   | _ -> Alcotest.fail "signalling must be flagged");
   (* Steady moderate misses: benign. *)
   let steady = Array.make 60 40 in
-  (match Interpret.cache_verdict refs steady with
+  (match Interpret.cache_verdict steady with
   | Report.Healthy, _ -> ()
   | _ -> Alcotest.fail "steady workload must pass");
   (* No activity: benign. *)
-  (match Interpret.cache_verdict refs (Array.make 60 0) with
+  (match Interpret.cache_verdict (Array.make 60 0) with
   | Report.Healthy, _ -> ()
   | _ -> Alcotest.fail "idle must pass");
   (* Too few windows: unknown. *)
-  match Interpret.cache_verdict refs (Array.make 5 100) with
+  match Interpret.cache_verdict (Array.make 5 100) with
   | Report.Unknown _, _ -> ()
   | _ -> Alcotest.fail "short period must be Unknown"
 
 let test_interpret_covert_combined () =
-  let both = { refs with Interpret.covert_sources = [ Interpret.Cpu_bursts; Interpret.Cache_misses ] } in
   let benign_hist = Array.make 30 0 in
   benign_hist.(29) <- 100;
   let signalling = Array.init 60 (fun i -> if i mod 2 = 0 then 0 else 128) in
   (* CPU source clean but the cache source is dirty: still flagged. *)
   (match
-     Interpret.interpret both ~image_name:None Property.Covert_channel_free
+     Interpret.interpret ~image_name:None Property.Covert_channel_free
        [ Monitors.Measurement.Measured_histogram benign_hist;
          Monitors.Measurement.Measured_miss_windows signalling ]
    with
@@ -627,7 +626,7 @@ let test_interpret_covert_combined () =
   | _ -> Alcotest.fail "any dirty source must condemn");
   (* Both clean: healthy. *)
   match
-    Interpret.interpret both ~image_name:None Property.Covert_channel_free
+    Interpret.interpret ~image_name:None Property.Covert_channel_free
       [ Monitors.Measurement.Measured_histogram benign_hist;
         Monitors.Measurement.Measured_miss_windows (Array.make 60 0) ]
   with
@@ -638,7 +637,7 @@ let cpu_measure ~vtime ~steal =
   [ Monitors.Measurement.Measured_cpu { vtime; steal; window = Sim.Time.sec 1; vcpus = 1 } ]
 
 let test_interpret_availability () =
-  let status v = fst (Interpret.interpret refs ~image_name:None Property.Cpu_availability v) in
+  let status v = fst (Interpret.interpret ~image_name:None Property.Cpu_availability v) in
   (* Starved: little runtime, huge steal. *)
   (match status (cpu_measure ~vtime:(Sim.Time.ms 80) ~steal:(Sim.Time.ms 900)) with
   | Report.Compromised _ -> ()
@@ -652,7 +651,7 @@ let test_interpret_availability () =
 
 let test_interpret_shape_mismatch () =
   match
-    Interpret.interpret refs ~image_name:None Property.Runtime_integrity
+    Interpret.interpret ~image_name:None Property.Runtime_integrity
       (cpu_measure ~vtime:1 ~steal:1)
   with
   | Report.Unknown _, _ -> ()
@@ -661,16 +660,16 @@ let test_interpret_shape_mismatch () =
 let test_interpret_ima () =
   let pristine name = (name, Hypervisor.Guest_os.pristine_hash name) in
   (* Clean log. *)
-  (match Interpret.ima_verdict refs [ pristine "init"; pristine "sshd" ] with
+  (match Interpret.ima_verdict [ pristine "init"; pristine "sshd" ] with
   | Report.Healthy, _ -> ()
   | _ -> Alcotest.fail "pristine log must pass");
   (* Unknown binary. *)
-  (match Interpret.ima_verdict refs [ pristine "init"; ("cryptominer", Crypto.Sha256.digest "x") ] with
+  (match Interpret.ima_verdict [ pristine "init"; ("cryptominer", Crypto.Sha256.digest "x") ] with
   | Report.Compromised why, _ ->
       Alcotest.(check bool) "names the binary" true (contains why "cryptominer")
   | _ -> Alcotest.fail "unknown binary must be flagged");
   (* Trojaned well-known binary: right name, wrong hash. *)
-  match Interpret.ima_verdict refs [ ("sshd", Crypto.Sha256.digest "backdoor") ] with
+  match Interpret.ima_verdict [ ("sshd", Crypto.Sha256.digest "backdoor") ] with
   | Report.Compromised why, _ -> Alcotest.(check bool) "names sshd" true (contains why "sshd")
   | _ -> Alcotest.fail "trojaned binary must be flagged"
 
@@ -683,7 +682,7 @@ let test_interpret_integrity_combined () =
   let pristine name = (name, Hypervisor.Guest_os.pristine_hash name) in
   (* Task diff clean but IMA dirty: flagged. *)
   (match
-     Interpret.interpret both ~image_name:None Property.Runtime_integrity
+     Interpret.interpret ~image_name:None Property.Runtime_integrity
        [ Monitors.Measurement.Measured_tasks { kernel = [ "init"; "miner" ]; visible = [ "init"; "miner" ] };
          Monitors.Measurement.Measured_ima [ pristine "init"; ("miner", Crypto.Sha256.digest "m") ] ]
    with
@@ -691,7 +690,7 @@ let test_interpret_integrity_combined () =
   | _ -> Alcotest.fail "IMA source must condemn");
   (* Both clean: healthy. *)
   match
-    Interpret.interpret both ~image_name:None Property.Runtime_integrity
+    Interpret.interpret ~image_name:None Property.Runtime_integrity
       [ Monitors.Measurement.Measured_tasks { kernel = [ "init" ]; visible = [ "init" ] };
         Monitors.Measurement.Measured_ima [ pristine "init" ] ]
   with
@@ -812,9 +811,8 @@ let test_lifecycle_shapes () =
   Alcotest.(check bool) "bigger flavor suspends slower" true
     (Lifecycle.suspension_time Hypervisor.Flavor.large
     > Lifecycle.suspension_time Hypervisor.Flavor.small);
-  let net = Net.Network.create ~seed:1 () in
   Alcotest.(check bool) "migration dwarfs termination" true
-    (Lifecycle.migration_transfer_time ~net Hypervisor.Flavor.small
+    (Lifecycle.migration_transfer_time Hypervisor.Flavor.small
     > (3 * Lifecycle.termination_time ()));
   Alcotest.(check bool) "more candidates, slower scheduling" true
     (Lifecycle.scheduling_time ~considered:10 > Lifecycle.scheduling_time ~considered:1)

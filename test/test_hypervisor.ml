@@ -359,9 +359,9 @@ let sched_pause_random =
 
 (* --- Cache ------------------------------------------------------------------------- *)
 
-let make_cache ?(sets = 8) ?(ways = 2) () =
+let make_cache ?(ways = 2) () =
   let engine = Sim.Engine.create () in
-  (engine, Cache.create ~engine ~sets ~ways ())
+  (engine, Cache.create ~engine ~ways ())
 
 let test_cache_hit_miss () =
   let _, c = make_cache () in

@@ -329,7 +329,7 @@ let test_malware_detected_and_terminated () =
   let host = Option.get (Controller.vm_host controller ~vid) in
   let server = Option.get (Cloud.find_server cloud host) in
   let inst = Option.get (Hypervisor.Server.find server vid) in
-  ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm () : Hypervisor.Guest_os.process);
+  ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
   (match Cloud.Customer.attest c ~vid ~property:Property.Runtime_integrity with
   | Ok { Report.status = Report.Compromised _; _ } -> ()
   | Ok r -> Alcotest.failf "expected compromise, got %a" Report.pp_status r.Report.status
@@ -493,10 +493,8 @@ let test_ima_catches_what_task_diff_misses () =
     let host = Option.get (Controller.vm_host controller ~vid) in
     let server = Option.get (Cloud.find_server cloud host) in
     let inst = Option.get (Hypervisor.Server.find server vid) in
-    ignore (Attacks.Malware.infect_visible inst.Hypervisor.Server.vm ()
-             : Hypervisor.Guest_os.process);
-    ignore (Attacks.Malware.trojan_binary inst.Hypervisor.Server.vm ()
-             : Hypervisor.Guest_os.process);
+    ignore (Attacks.Malware.infect_visible inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
+    ignore (Attacks.Malware.trojan_binary inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
     match Cloud.Customer.attest c ~vid ~property:Property.Runtime_integrity with
     | Ok r -> r.Report.status
     | Error e -> Alcotest.failf "attest failed: %a" Cloud.Customer.pp_error e
@@ -663,7 +661,7 @@ let test_suspend_recheck_resumes_after_cleanup () =
       match r.Report.status with
       | Report.Compromised _ -> Some Controller.Suspend_vm
       | Report.Healthy | Report.Unknown _ -> None);
-  Controller.set_auto_resume controller ~recheck_period:(Sim.Time.sec 3) ~max_rechecks:5 true;
+  Controller.set_auto_resume controller ~recheck_period:(Sim.Time.sec 3) ~max_rechecks:5 ();
   let c = Cloud.Customer.create cloud ~name:"alice" in
   let info =
     launch_ok c ~image:"cirros" ~flavor:"small" ~properties:[ Property.Runtime_integrity ] ()
@@ -672,7 +670,7 @@ let test_suspend_recheck_resumes_after_cleanup () =
   let host = Option.get (Controller.vm_host controller ~vid) in
   let server = Option.get (Cloud.find_server cloud host) in
   let inst = Option.get (Hypervisor.Server.find server vid) in
-  let proc = Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm () in
+  let proc = Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm in
   (match
      Cloud.Customer.attest_periodic c ~vid ~property:Property.Runtime_integrity
        ~freq:(Sim.Time.sec 2) ()
@@ -696,7 +694,7 @@ let test_suspend_recheck_terminates_if_never_clean () =
       match r.Report.status with
       | Report.Compromised _ -> Some Controller.Suspend_vm
       | Report.Healthy | Report.Unknown _ -> None);
-  Controller.set_auto_resume controller ~recheck_period:(Sim.Time.sec 2) ~max_rechecks:3 true;
+  Controller.set_auto_resume controller ~recheck_period:(Sim.Time.sec 2) ~max_rechecks:3 ();
   let c = Cloud.Customer.create cloud ~name:"alice" in
   let info =
     launch_ok c ~image:"cirros" ~flavor:"small" ~properties:[ Property.Runtime_integrity ] ()
@@ -705,7 +703,7 @@ let test_suspend_recheck_terminates_if_never_clean () =
   let host = Option.get (Controller.vm_host controller ~vid) in
   let server = Option.get (Cloud.find_server cloud host) in
   let inst = Option.get (Hypervisor.Server.find server vid) in
-  ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm () : Hypervisor.Guest_os.process);
+  ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
   (match
      Cloud.Customer.attest_periodic c ~vid ~property:Property.Runtime_integrity
        ~freq:(Sim.Time.sec 2) ()
@@ -757,7 +755,7 @@ let test_network_tampering_detected_not_forged () =
   Cloud.run_for cloud (Sim.Time.sec 1);
   (* From now on the Dolev-Yao attacker corrupts every reply on the wire. *)
   Net.Network.set_adversary (Cloud.net cloud)
-    (Attacks.Network_attacker.tamper_replies ~offset:60 ~min_len:80 ());
+    (Attacks.Network_attacker.tamper_replies ~min_len:80 ());
   (match Cloud.Customer.attest c ~vid:info.Commands.vid ~property:Property.Runtime_integrity with
   | Ok _ -> Alcotest.fail "tampered exchange must not produce a report"
   | Error (`Channel _) | Error (`Cloud _) | Error (`Forged _) -> ());
@@ -948,7 +946,7 @@ let interpret_never_crashes =
          pair (oneofl Property.all) (list_size (int_range 0 4) value_gen)))
     (fun (property, values) ->
       let _status, _evidence =
-        Interpret.interpret Interpret.default_refs ~image_name:(Some "ubuntu") property values
+        Interpret.interpret ~image_name:(Some "ubuntu") property values
       in
       true)
 
@@ -1045,7 +1043,7 @@ let test_gate_protocols () =
 
 let test_gate_faults () =
   let module F = Experiments.Faults in
-  let r = F.run ~seed:2015 ~rounds:3 () in
+  let r = F.run ~seed:2015 () in
   Alcotest.(check bool) "real run clean" true (F.clean r);
   let doctor label f =
     List.map (fun (row : F.row) -> if row.F.label = label then f row else row) r

@@ -90,9 +90,8 @@ let test_network_eavesdrop_log () =
   Alcotest.(check string) "oldest first" "one" first.Net.Network.payload
 
 let test_network_transfer_time_scales () =
-  let net = make_net () in
-  let t1 = Net.Network.transfer_time net ~bytes:1_000_000 in
-  let t2 = Net.Network.transfer_time net ~bytes:10_000_000 in
+  let t1 = Net.Network.transfer_time ~bytes:1_000_000 in
+  let t2 = Net.Network.transfer_time ~bytes:10_000_000 in
   Alcotest.(check bool) "larger is slower" true (t2 > t1)
 
 (* --- Secure channel ----------------------------------------------------------- *)
@@ -182,7 +181,7 @@ let test_channel_tamper_detected () =
   let net, _server, client_id, transport, _ = setup_channel () in
   let ch = connect_ok client_id transport in
   (* Flip one ciphertext byte of each sufficiently long request. *)
-  Net.Network.set_adversary net (Attacks.Network_attacker.flip_byte ~offset:50 ~min_len:60 ());
+  Net.Network.set_adversary net (Attacks.Network_attacker.flip_byte ~min_len:60 ());
   (match Net.Secure_channel.Client.call ch "payload" with
   | Ok _ -> Alcotest.fail "tampering must be detected"
   | Error (`Rejected _) | Error `Auth_failure -> ()
