@@ -345,12 +345,16 @@ module Customer = struct
         | _ -> None))
       (verify_report t ~vid ~property ~nonce)
 
+  (* The subscription table changes only when the controller acknowledged
+     the request: a refused second subscription must not drop the live
+     one's entry, and a stop lost on the wire leaves the controller
+     delivering rounds that must still verify.  The first round is always
+     scheduled after the acknowledgement. *)
   let attest_periodic_scheduled t ~vid ~property ~schedule ?(on_report = fun _ -> ()) () =
     let nonce = Crypto.Drbg.nonce t.drbg in
-    let key = (vid, Property.to_string property) in
-    Hashtbl.replace t.subs key (nonce, ref 0, on_report);
     let result = request t (Commands.Attest_periodic { vid; property; schedule; nonce }) ack in
-    if Result.is_error result then Hashtbl.remove t.subs key;
+    if Result.is_ok result then
+      Hashtbl.replace t.subs (vid, Property.to_string property) (nonce, ref 0, on_report);
     result
 
   let attest_periodic t ~vid ~property ~freq ?on_report () =
@@ -361,8 +365,9 @@ module Customer = struct
 
   let stop_periodic t ~vid ~property =
     let nonce = Crypto.Drbg.nonce t.drbg in
-    Hashtbl.remove t.subs (vid, Property.to_string property);
-    request t (Commands.Stop_periodic { vid; property; nonce }) ack
+    let result = request t (Commands.Stop_periodic { vid; property; nonce }) ack in
+    if Result.is_ok result then Hashtbl.remove t.subs (vid, Property.to_string property);
+    result
 
   let terminate t ~vid = request t (Commands.Terminate { vid }) ack
 

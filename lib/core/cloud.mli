@@ -155,6 +155,10 @@ module Customer : sig
     ?on_report:(Report.t -> unit) ->
     unit ->
     (unit, error) result
+  (** The customer starts (and {!stop_periodic} ends) verifying a
+      subscription only once the controller acknowledges the request: a
+      refused second subscription leaves the live one verifying, and so
+      does a stop that never reached the controller. *)
 
   val stop_periodic : t -> vid:string -> property:Property.t -> (unit, error) result
   val terminate : t -> vid:string -> (unit, error) result

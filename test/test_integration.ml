@@ -617,6 +617,43 @@ let test_periodic_survives_missed_round () =
   Cloud.run_for cloud (Sim.Time.sec 6);
   check_all_verified c seen 4
 
+(* A second subscription on a live (vid, property) pair is refused; the
+   refusal must leave the live subscription's rounds verifying, not count
+   them as forged. *)
+let test_periodic_refused_restart_keeps_live () =
+  let cloud, c, vid, seen = periodic_subscriber () in
+  Cloud.run_for cloud (Sim.Time.sec 5);
+  (match
+     Cloud.Customer.attest_periodic c ~vid ~property:Property.Runtime_integrity
+       ~freq:(Sim.Time.sec 2) ()
+   with
+  | Error (`Cloud "periodic attestation already active") -> ()
+  | Ok () -> Alcotest.fail "a second subscription must be refused"
+  | Error e -> Alcotest.failf "unexpected: %a" Cloud.Customer.pp_error e);
+  Cloud.run_for cloud (Sim.Time.sec 6);
+  check_all_verified c seen 5
+
+(* A stop request that never reaches the controller leaves the
+   subscription running, so its later rounds must still verify; a stop
+   that arrives ends the deliveries. *)
+let test_periodic_lost_stop_keeps_verifying () =
+  let cloud, c, vid, seen = periodic_subscriber () in
+  Cloud.run_for cloud (Sim.Time.sec 5);
+  let net = Cloud.net cloud in
+  Net.Network.set_adversary net (Net.Fault.blackout ());
+  (match Cloud.Customer.stop_periodic c ~vid ~property:Property.Runtime_integrity with
+  | Error (`Channel _) -> ()
+  | Ok () -> Alcotest.fail "a stop under a blackout must fail"
+  | Error e -> Alcotest.failf "unexpected: %a" Cloud.Customer.pp_error e);
+  Net.Network.clear_adversary net;
+  Cloud.run_for cloud (Sim.Time.sec 6);
+  check_all_verified c seen 5;
+  (match Cloud.Customer.stop_periodic c ~vid ~property:Property.Runtime_integrity with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "stop failed: %a" Cloud.Customer.pp_error e);
+  Cloud.run_for cloud (Sim.Time.sec 4);
+  check_all_verified c seen 5
+
 let test_random_interval_periodic () =
   let cloud = make_cloud () in
   let c = Cloud.Customer.create cloud ~name:"alice" in
@@ -1233,6 +1270,10 @@ let () =
             test_periodic_survives_failed_call;
           Alcotest.test_case "periodic survives a missed round" `Quick
             test_periodic_survives_missed_round;
+          Alcotest.test_case "refused restart keeps the live subscription" `Quick
+            test_periodic_refused_restart_keeps_live;
+          Alcotest.test_case "lost stop keeps verifying" `Quick
+            test_periodic_lost_stop_keeps_verifying;
           Alcotest.test_case "random-interval periodic" `Quick test_random_interval_periodic;
           Alcotest.test_case "suspend-recheck resumes" `Quick
             test_suspend_recheck_resumes_after_cleanup;
