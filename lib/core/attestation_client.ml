@@ -58,9 +58,10 @@ let measure_one t (req : Protocol.measure_request) =
   Tpm.Backend.end_session t.trust session;
   Ok (Protocol.encode_measure_response { unsigned with signature })
 
-(* Batched measurement: collect every item, build a Merkle tree over the
-   per-item Q3 quotes, and have the Trust Module mint ONE session key and
-   sign ONE root — the whole point of batching.  Any item that cannot be
+(* Batched measurement: collect every item, build one Merkle tree over the
+   per-item Q3 quotes (each leaf hashed once; every proof comes from that
+   tree), and have the Trust Module mint ONE session key and sign ONE
+   root — the whole point of batching.  Any item that cannot be
    collected fails the batch (the AS retries those items unbatched), so a
    batch reply always covers exactly what was asked. *)
 let measure_batch t (req : Protocol.batch_measure_request) =
@@ -77,7 +78,9 @@ let measure_batch t (req : Protocol.batch_measure_request) =
         Protocol.q3 ~vid ~requests_raw ~values_raw ~nonce:req.bm_nonce)
       measured
   in
-  let root = Crypto.Merkle.root leaves in
+  let tree = Crypto.Merkle.of_leaves leaves in
+  let size = Crypto.Merkle.size tree in
+  let root = Crypto.Merkle.root_at tree size in
   let session = Tpm.Backend.begin_session t.trust in
   let signature =
     match Tpm.Backend.quote_batch t.trust session ~root ~nonce:req.bm_nonce with
@@ -92,7 +95,7 @@ let measure_batch t (req : Protocol.batch_measure_request) =
           Protocol.bi_vid;
           bi_requests_raw;
           bi_values_raw;
-          bi_proof = Crypto.Merkle.proof leaves i;
+          bi_proof = Crypto.Merkle.inclusion tree ~size i;
         })
       measured
   in

@@ -3,10 +3,9 @@
    largest power of two below its size.  This is the tree that pairs nodes
    level by level and promotes an odd last node unchanged, so the shape
    depends only on the leaf count and a promoted leaf simply gets a shorter
-   proof.  Every function below takes a subtree-root oracle [sub lo hi]
-   (the root over leaves [lo, hi)) or builds one from a leaf list, so
-   incremental logs (lib/audit) can memoize interior hashes across
-   appends and serve proofs against any historical tree size. *)
+   proof.  One append-only tree value holds the leaf hashes and a memo of
+   interior roots, so a batch hashes each leaf once and a log (lib/audit)
+   serves proofs against any historical size without rehashing. *)
 
 let leaf_hash data = Sha256.digest_list [ "merkle-leaf|"; data ]
 let node_hash l r = Sha256.digest_list [ "merkle-node|"; l; r ]
@@ -25,44 +24,79 @@ let k_split n =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let inclusion_with ~sub ~size i =
-  if size <= 0 then invalid_arg "Merkle.inclusion_with: empty tree";
-  if i < 0 || i >= size then invalid_arg "Merkle.inclusion_with: leaf index out of range";
-  let rec path lo hi i =
+(* The inclusion path of leaf [i] in the tree over the first [size] leaves,
+   given the subtree roots [sub lo hi] over leaves [lo, hi). *)
+let path ~sub ~size i =
+  let rec go lo hi =
     if hi - lo <= 1 then []
     else begin
       let k = k_split (hi - lo) in
-      if i < lo + k then path lo (lo + k) i @ [ (Sibling_right, sub (lo + k) hi) ]
-      else path (lo + k) hi i @ [ (Sibling_left, sub lo (lo + k)) ]
+      if i < lo + k then go lo (lo + k) @ [ (Sibling_right, sub (lo + k) hi) ]
+      else go (lo + k) hi @ [ (Sibling_left, sub lo (lo + k)) ]
     end
   in
-  path 0 size i
+  go 0 size
 
-(* The subtree-root oracle over a list of leaf data, and the leaf count. *)
-let sub_of_leaves leaves =
+(* Leaf hashes, and the interior root over [lo, hi) for every span already
+   computed.  Leaves are only appended, so a span with [hi <= size] never
+   changes and the memo is never invalidated: an append adds at most
+   O(log n) interior nodes along the right spine. *)
+type tree = {
+  mutable hashes : string array;
+  mutable size : int;
+  memo : (int * int, string) Hashtbl.t;
+}
+
+let of_leaves leaves =
   let hashes = Array.of_list (List.map leaf_hash leaves) in
-  let rec sub lo hi =
-    if hi - lo = 1 then hashes.(lo)
-    else begin
-      let k = k_split (hi - lo) in
-      node_hash (sub lo (lo + k)) (sub (lo + k) hi)
-    end
-  in
-  (sub, Array.length hashes)
+  let size = Array.length hashes in
+  { hashes; size; memo = Hashtbl.create size }
+
+let add t data =
+  if t.size = Array.length t.hashes then begin
+    let hashes = Array.make (max 16 (2 * t.size)) "" in
+    Array.blit t.hashes 0 hashes 0 t.size;
+    t.hashes <- hashes
+  end;
+  t.hashes.(t.size) <- leaf_hash data;
+  t.size <- t.size + 1
+
+let size t = t.size
+
+let rec sub t lo hi =
+  if hi - lo = 1 then t.hashes.(lo)
+  else begin
+    match Hashtbl.find_opt t.memo (lo, hi) with
+    | Some h -> h
+    | None ->
+        let k = k_split (hi - lo) in
+        let h = node_hash (sub t lo (lo + k)) (sub t (lo + k) hi) in
+        Hashtbl.add t.memo (lo, hi) h;
+        h
+  end
+
+let root_at t n =
+  if n < 0 || n > t.size then invalid_arg "Merkle.root_at: size out of range";
+  if n = 0 then empty_root else sub t 0 n
+
+let inclusion t ~size i =
+  if size <= 0 || size > t.size then invalid_arg "Merkle.inclusion: size out of range";
+  if i < 0 || i >= size then invalid_arg "Merkle.inclusion: leaf index out of range";
+  path ~sub:(sub t) ~size i
 
 let nonempty leaves =
-  let sub, n = sub_of_leaves leaves in
-  if n = 0 then invalid_arg "Merkle: no leaves";
-  (sub, n)
+  let t = of_leaves leaves in
+  if t.size = 0 then invalid_arg "Merkle: no leaves";
+  t
 
 let root leaves =
-  let sub, n = nonempty leaves in
-  sub 0 n
+  let t = nonempty leaves in
+  sub t 0 t.size
 
 let proof leaves i =
-  let sub, n = nonempty leaves in
-  if i < 0 || i >= n then invalid_arg "Merkle.proof: leaf index out of range";
-  inclusion_with ~sub ~size:n i
+  let t = nonempty leaves in
+  if i < 0 || i >= t.size then invalid_arg "Merkle.proof: leaf index out of range";
+  path ~sub:(sub t) ~size:t.size i
 
 let verify ~root:expected ~leaf p =
   let h =
@@ -82,7 +116,7 @@ let proof_length = List.length
    proof. *)
 let verify_at ~root ~leaf ~index ~size p =
   index >= 0 && index < size
-  && List.map fst p = List.map fst (inclusion_with ~sub:(fun _ _ -> "") ~size index)
+  && List.map fst p = List.map fst (path ~sub:(fun _ _ -> "") ~size index)
   && verify ~root ~leaf p
 
 let node_count n =
@@ -100,20 +134,20 @@ let max_proof_length n =
     depth n 0
   end
 
-let consistency_with ~sub ~old_size ~size =
-  if old_size < 0 || old_size > size then
-    invalid_arg "Merkle.consistency_with: sizes out of order";
+let consistency t ~old_size ~size =
+  if old_size < 0 || old_size > size then invalid_arg "Merkle.consistency: sizes out of order";
+  if size > t.size then invalid_arg "Merkle.consistency: size out of range";
   if old_size = 0 || old_size = size then []
   else begin
     (* RFC 6962 SUBPROOF: [m] old leaves inside the subtree [lo, hi); the
        flag records whether that subtree's root is derivable by the old
        tree's owner (true only along the original spine). *)
     let rec subproof lo hi m flag =
-      if m = hi - lo then if flag then [] else [ sub lo hi ]
+      if m = hi - lo then if flag then [] else [ sub t lo hi ]
       else begin
         let k = k_split (hi - lo) in
-        if m <= k then subproof lo (lo + k) m flag @ [ sub (lo + k) hi ]
-        else subproof (lo + k) hi (m - k) false @ [ sub lo (lo + k) ]
+        if m <= k then subproof lo (lo + k) m flag @ [ sub t (lo + k) hi ]
+        else subproof (lo + k) hi (m - k) false @ [ sub t lo (lo + k) ]
       end
     in
     subproof 0 size old_size true
@@ -158,22 +192,6 @@ let verify_consistency ~old_size ~old_root ~size ~root p =
           rest;
         !ok && String.equal !fr old_root && String.equal !sr root && !sn = 0
   end
-
-(* List-of-leaves conveniences (tests, small verifiers). *)
-
-let root_prefix leaves ~size =
-  let sub, n = sub_of_leaves leaves in
-  if size < 0 || size > n then invalid_arg "Merkle.root_prefix: size out of range";
-  if size = 0 then empty_root else sub 0 size
-
-let inclusion_prefix leaves ~size i =
-  let sub, n = sub_of_leaves leaves in
-  if size > n then invalid_arg "Merkle.inclusion_prefix: size out of range";
-  inclusion_with ~sub ~size i
-
-let consistency leaves ~old_size =
-  let sub, n = sub_of_leaves leaves in
-  consistency_with ~sub ~old_size ~size:n
 
 let encode e p =
   Wire.Codec.Enc.list e

@@ -54,51 +54,51 @@ val encode : Wire.Codec.Enc.t -> proof -> unit
 val decode : Wire.Codec.Dec.t -> proof
 (** Wire codecs, so proofs travel inside batch measurement responses. *)
 
-(** {1 RFC 6962-style log views}
+(** {1 The append-only tree}
 
-    An append-only log serves inclusion proofs against any historical tree
+    One tree value holds the leaf hashes and a memo of interior roots, so
+    every root and proof it serves hashes each leaf once, an append costs
+    O(log n) new interior hashes, and a proof O(log n) lookups.  An
+    append-only log serves inclusion proofs against any historical tree
     size, and consistency proofs showing one tree head is a prefix of a
-    later one.  Proof {e generation} is parameterised by a subtree-root
-    oracle [sub lo hi] (the root over leaves [lo, hi)), letting
-    incremental logs memoize interior hashes instead of rehashing. *)
+    later one. *)
 
-val node_hash : string -> string -> string
-(** Domain-separated interior-node hash; exposed for log implementations
-    that memoize subtree roots. *)
+type tree
+
+val of_leaves : string list -> tree
+(** The tree over the leaf {e data} (hashed with {!leaf_hash}); [of_leaves
+    []] is the empty tree. *)
+
+val add : tree -> string -> unit
+(** Append one leaf's data. *)
+
+val size : tree -> int
 
 val empty_root : string
 (** Conventional root of the empty tree (digest of a domain tag; RFC 6962
     uses SHA-256 of the empty string — any fixed constant works as long as
     both sides agree). *)
 
-val inclusion_with : sub:(int -> int -> string) -> size:int -> int -> proof
-(** [inclusion_with ~sub ~size i] is the inclusion proof for leaf [i]
-    against the tree over the first [size] leaves.  For [size] equal to
-    the full leaf count it produces exactly {!proof}'s output, and it
-    verifies with {!verify}.  Raises [Invalid_argument] if [i] or [size]
-    is out of range. *)
+val root_at : tree -> int -> string
+(** [root_at t n] is the root over the first [n] leaves ({!empty_root}
+    for [n = 0]); at the full size it equals {!root} over the same leaf
+    data.  Raises [Invalid_argument] beyond {!size}. *)
 
-val consistency_with : sub:(int -> int -> string) -> old_size:int -> size:int -> string list
-(** [consistency_with ~sub ~old_size ~size] proves the tree over the first
+val inclusion : tree -> size:int -> int -> proof
+(** [inclusion t ~size i] is the inclusion proof for leaf [i] against the
+    tree over the first [size] leaves.  At the full size it is exactly
+    {!proof}'s output, and it verifies with {!verify}.  Raises
+    [Invalid_argument] if [i] or [size] is out of range. *)
+
+val consistency : tree -> old_size:int -> size:int -> string list
+(** [consistency t ~old_size ~size] proves the tree over the first
     [old_size] leaves is a prefix of the tree over the first [size]
     leaves (RFC 6962 section 2.1.2).  Empty when [old_size] is [0] or
-    equals [size].  Raises [Invalid_argument] if [old_size > size]. *)
+    equals [size].  Raises [Invalid_argument] if [old_size > size] or
+    [size] is beyond {!size}. *)
 
 val verify_consistency :
   old_size:int -> old_root:string -> size:int -> root:string -> string list -> bool
-(** Checks a {!consistency_with} proof: accepts iff the [old_size]-leaf
-    tree with root [old_root] is a prefix of the [size]-leaf tree with
-    root [root]. *)
-
-val root_prefix : string list -> size:int -> string
-(** [root_prefix leaves ~size] is the root over the first [size] leaves;
-    [root_prefix leaves ~size:(List.length leaves)] equals
-    [root leaves], and [~size:0] is {!empty_root}. *)
-
-val inclusion_prefix : string list -> size:int -> int -> proof
-(** List-of-leaves convenience over {!inclusion_with}. *)
-
-val consistency : string list -> old_size:int -> string list
-(** [consistency leaves ~old_size] is
-    [consistency_with ~old_size ~size:(List.length leaves)] over the given
-    leaves. *)
+(** Checks a {!consistency} proof: accepts iff the [old_size]-leaf tree
+    with root [old_root] is a prefix of the [size]-leaf tree with root
+    [root]. *)

@@ -768,37 +768,39 @@ let test_merkle_prefix_root_matches () =
   let prng = Sim.Prng.create 0xA0D171 in
   for n = 1 to 65 do
     let leaves = random_leaves prng n in
+    let tree = M.of_leaves leaves in
     (* The prefix view at the full size is the classic tree... *)
     Alcotest.(check string)
-      (Printf.sprintf "root_prefix = root at n=%d" n)
+      (Printf.sprintf "root_at = root at n=%d" n)
       (hex (M.root leaves))
-      (hex (M.root_prefix leaves ~size:n));
+      (hex (M.root_at tree n));
     (* ...and at every proper prefix it matches the tree over that prefix. *)
     let m = 1 + Sim.Prng.int prng n in
     Alcotest.(check string)
       (Printf.sprintf "prefix %d of %d" m n)
       (hex (M.root (List.filteri (fun i _ -> i < m) leaves)))
-      (hex (M.root_prefix leaves ~size:m))
+      (hex (M.root_at tree m))
   done
 
 let test_merkle_inclusion_ragged () =
   let prng = Sim.Prng.create 0xA0D172 in
   for n = 1 to 65 do
     let leaves = random_leaves prng n in
+    let tree = M.of_leaves leaves in
     let arr = Array.of_list leaves in
     let root = M.root leaves in
     for i = 0 to n - 1 do
-      let p = M.inclusion_prefix leaves ~size:n i in
+      let p = M.inclusion tree ~size:n i in
       if not (M.verify ~root ~leaf:arr.(i) p) then
         Alcotest.failf "inclusion proof failed at n=%d i=%d" n i;
       (* The log-view proof must be byte-identical to the PR 3 proof. *)
       let enc p = Wire.Codec.encode (fun e -> M.encode e p) in
       if not (String.equal (enc p) (enc (M.proof leaves i))) then
-        Alcotest.failf "inclusion_prefix <> proof at n=%d i=%d" n i
+        Alcotest.failf "inclusion <> proof at n=%d i=%d" n i
     done;
     (* Tampering with one leaf must break that leaf's proof. *)
     let i = Sim.Prng.int prng n in
-    let p = M.inclusion_prefix leaves ~size:n i in
+    let p = M.inclusion tree ~size:n i in
     if M.verify ~root ~leaf:(arr.(i) ^ "!") p then
       Alcotest.failf "tampered leaf accepted at n=%d i=%d" n i
   done
@@ -807,9 +809,10 @@ let test_merkle_consistency_all_pairs () =
   let prng = Sim.Prng.create 0xA0D173 in
   for n = 1 to 65 do
     let leaves = random_leaves prng n in
+    let tree = M.of_leaves leaves in
     for m = 0 to n do
-      let proof = M.consistency leaves ~old_size:m in
-      let old_root = M.root_prefix leaves ~size:m in
+      let proof = M.consistency tree ~old_size:m ~size:n in
+      let old_root = M.root_at tree m in
       if
         not
           (M.verify_consistency ~old_size:m ~old_root ~size:n ~root:(M.root leaves) proof)
@@ -822,8 +825,9 @@ let test_merkle_consistency_tamper () =
   for n = 2 to 65 do
     let leaves = random_leaves prng n in
     let m = 1 + Sim.Prng.int prng (n - 1) in
-    let proof = M.consistency leaves ~old_size:m in
-    let old_root = M.root_prefix leaves ~size:m in
+    let tree = M.of_leaves leaves in
+    let proof = M.consistency tree ~old_size:m ~size:n in
+    let old_root = M.root_at tree m in
     let root = M.root leaves in
     (* A rewritten history: change one committed (prefix) leaf and rebuild.
        The old head can never be consistent with the rewritten tree. *)
@@ -832,7 +836,7 @@ let test_merkle_consistency_tamper () =
     let root' = M.root rewritten in
     if
       M.verify_consistency ~old_size:m ~old_root ~size:n ~root:root'
-        (M.consistency rewritten ~old_size:m)
+        (M.consistency (M.of_leaves rewritten) ~old_size:m ~size:n)
     then Alcotest.failf "rewritten history accepted at n=%d m=%d k=%d" n m k;
     (* A garbled proof element must be rejected (empty proofs are only
        legal for m = n, excluded here unless the proof is present). *)
@@ -868,8 +872,8 @@ let test_merkle_consistency_edges () =
   Alcotest.(check bool) "m > n" false
     (M.verify_consistency ~old_size:8 ~old_root:root ~size:7 ~root []);
   Alcotest.check_raises "generation rejects m > n"
-    (Invalid_argument "Merkle.consistency_with: sizes out of order") (fun () ->
-      ignore (M.consistency leaves ~old_size:8))
+    (Invalid_argument "Merkle.consistency: sizes out of order") (fun () ->
+      ignore (M.consistency (M.of_leaves leaves) ~old_size:8 ~size:7))
 
 (* --- Hex ---------------------------------------------------------------------- *)
 
