@@ -17,8 +17,6 @@ type t =
   | Sign of t * t  (** [Sign (sk, m)]: signature; reveals [m] *)
   | Hash of t
 
-val compare : t -> t -> int
-
 val pair_list : t list -> t
 (** Right-nested pairs; [pair_list []] is [Const "nil"]. *)
 

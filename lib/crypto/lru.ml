@@ -24,7 +24,6 @@ let create ~capacity =
   { capacity; tbl = Hashtbl.create 64; head = None; tail = None; hits = 0; misses = 0 }
 
 let length t = Hashtbl.length t.tbl
-let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
 

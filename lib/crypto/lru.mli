@@ -17,7 +17,6 @@ val add : 'a t -> string -> 'a -> unit
     when the cache is full. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int
 
 val hits : 'a t -> int
 val misses : 'a t -> int

@@ -31,14 +31,6 @@ type sharded = {
 
 type result = { seed : int; scale : string; rows : row list; sharded : sharded }
 
-val scenario :
-  seed:int ->
-  [ `Default | `Smoke ] ->
-  Fleet.Driver.config * Sim.Time.t * Sim.Time.t list * Sim.Time.t * int list
-(** The monitored-fleet scenario at the given scale: the (unmonitored)
-    base driver config, the scheduler tick, the budgets swept, the storm
-    time, and the domain counts of the headline curve. *)
-
 val run : ?seed:int -> ?scale:[ `Default | `Smoke ] -> unit -> result
 (** [scale] defaults to [`Smoke] when the environment variable
     [CLOUDMONATT_FLEET_SCALE] is ["smoke"] (the CI setting), else
