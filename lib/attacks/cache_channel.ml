@@ -1,10 +1,9 @@
-(* One bit per 10 ms round, signalled over the 16 sets from set 0 on,
-   starting at round 4. *)
+(* One bit per 10 ms round, signalled over cache sets 0 to 15, starting at
+   round 4. *)
 let round = Sim.Time.ms 10
-let first_set = 0
 let group = 16
 let start_round = 4
-let target_sets = List.init group (fun i -> first_set + i)
+let target_sets = List.init group Fun.id
 
 let thrash cache ~owner =
   List.iter (fun set -> Hypervisor.Cache.fill_set cache ~owner ~set) target_sets

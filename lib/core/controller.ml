@@ -857,7 +857,8 @@ let create ~net ~engine ~ca ~seed ?(key_bits = 1024) ~db ~attestation_servers
   if attestation_servers = [] then
     invalid_arg "Controller.create: need at least one attestation server";
   let identity =
-    Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|cc") ~bits:key_bits ~name:controller_name ()
+    Net.Secure_channel.Identity.make ca ~seed:(seed ^ "|cc") ~bits:key_bits
+      ~name:controller_name ()
   in
   {
     net;

@@ -40,9 +40,9 @@ val create :
   unit ->
   t
 (** The controller is named ["cloud-controller"].  Registers nothing on
-    the network: {!Cloud} serves {!request_handler} under that name.  [db] is the
-    nova database this controller owns (the Attestation Servers read VM
-    images and server backends from it).  [attestation_servers] lists the
+    the network: {!Cloud} serves {!request_handler} under that name.
+    [db] is the nova database this controller owns (the Attestation
+    Servers read VM images and server backends from it).  [attestation_servers] lists the
     (network name, VKa) of each cluster's Attestation Server (paper 3.2.3:
     several AS instances give scalability); [cluster_of] maps a cloud
     server name to its AS index (default: everything on AS 0). *)

@@ -147,7 +147,8 @@ let one_trial ~seed ~schedule ~infect_after =
       let server = Option.get (Cloud.find_server cloud host) in
       let inst = Option.get (Hypervisor.Server.find server vid) in
       let infected_at = Cloud.now cloud in
-      ignore (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
+      ignore
+        (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
       Cloud.run_for cloud (Sim.Time.minutes 3);
       match Controller.responses controller with
       | r :: _ -> Some (Sim.Time.to_ms (r.Controller.at - infected_at))

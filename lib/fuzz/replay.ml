@@ -176,7 +176,8 @@ let infect st host vids =
           | None -> false
           | Some inst ->
               ignore
-                (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm : Hypervisor.Guest_os.process);
+                (Attacks.Malware.infect_hidden inst.Hypervisor.Server.vm
+                  : Hypervisor.Guest_os.process);
               true)
         vids
 
