@@ -42,10 +42,11 @@ val create :
 (** The controller is named ["cloud-controller"].  Registers nothing on
     the network: {!Cloud} serves {!request_handler} under that name.
     [db] is the nova database this controller owns (the Attestation
-    Servers read VM images and server backends from it).  [attestation_servers] lists the
-    (network name, VKa) of each cluster's Attestation Server (paper 3.2.3:
-    several AS instances give scalability); [cluster_of] maps a cloud
-    server name to its AS index (default: everything on AS 0). *)
+    Servers read VM images and server backends from it).
+    [attestation_servers] lists the (network name, VKa) of each cluster's
+    Attestation Server (paper 3.2.3: several AS instances give
+    scalability); [cluster_of] maps a cloud server name to its AS index
+    (default: everything on AS 0). *)
 
 val request_handler : t -> peer:string -> string -> string
 (** The customer API: the on-request function for the controller's secure

@@ -29,11 +29,10 @@ type t
 val create :
   ?key_bits:int -> ?num_registers:int -> ?root:Platform_root.t -> kind -> seed:string -> unit -> t
 (** Defaults: 1024-bit keys, 64 evidence registers; every device has 16
-    PCRs.  [seed] feeds
-    the device's DRBG under a per-kind prefix (["trust-module|"],
-    ["evtpm|"], ["cvm-device|"]), so two kinds built from one seed never
-    share a key stream.  A CVM device needs the vendor [root], which
-    endorses its platform key here, once.
+    PCRs.  [seed] feeds the device's DRBG under a per-kind prefix
+    (["trust-module|"], ["evtpm|"], ["cvm-device|"]), so two kinds built
+    from one seed never share a key stream.  A CVM device needs the vendor
+    [root], which endorses its platform key here, once.
     @raise Invalid_argument for a [Cvm_report] without [root]. *)
 
 val classic : t -> t
